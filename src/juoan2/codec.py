@@ -13,8 +13,8 @@ from .keygen import (
     PrivateKey,
     PublicKey,
     ceil_lg,
+    first_violation,
     min_modulus_bits,
-    validate_extra_superincreasing,
     weighted_sum,
 )
 
@@ -112,6 +112,13 @@ def decode_key(text: str) -> PublicKey | PrivateKey:
 
     n_tilde = _parse_int(fields["n"], "n")
     n_payload = _parse_int(fields["np"], "np")
+    # keygen pads np payload bits with np/2 padding bits; the worked reference
+    # key carries no padding (n = np) and is used block by block.
+    if n_payload < 4 or n_payload % 2 or n_tilde not in (3 * n_payload // 2, n_payload):
+        raise DecodeError(
+            f"np={n_payload} does not fit n={n_tilde}: np must be even and >= 4,"
+            " and n must be 3*np/2 (or np)"
+        )
     M = _parse_hex(fields["M"], "M")
     if M < 3:
         raise DecodeError(f"modulus too small: {M}")
@@ -129,8 +136,8 @@ def decode_key(text: str) -> PublicKey | PrivateKey:
     A = tuple(_parse_hex(x, "A") for x in fields["A"].split(","))
     if len(A) != n_tilde:
         raise DecodeError(f"expected {n_tilde} sequence elements, got {len(A)}")
-    if not validate_extra_superincreasing(A):
-        bad = _first_violation(A)
+    bad = first_violation(A)
+    if bad:
         raise DecodeError(f"sequence is not extra superincreasing (first violation at index {bad})")
     if M <= weighted_sum(A):
         raise DecodeError("modulus does not exceed the weighted sequence sum")
@@ -141,18 +148,6 @@ def decode_key(text: str) -> PublicKey | PrivateKey:
             raise DecodeError(f"{what} out of range [1, M-1]: {v}")
     _check_bit_range(M, n_tilde)
     return PrivateKey(ExtraSuperincreasingSeq(A), neg_w, delta_inv, M, n_payload)
-
-
-def _first_violation(a: Sequence[int]) -> int:
-    """1-based index of the first element breaking the sequence rule."""
-    if a[0] < 1:
-        return 1
-    if len(a) > 1 and a[1] <= a[0] + 1:
-        return 2
-    for i in range(2, len(a)):
-        if a[i] <= sum((i - j) * a[j] for j in range(i)):
-            return i + 1
-    return 0
 
 
 def encode_ciphertext(blocks: Sequence[Ciphertext], n_payload: int) -> bytes:

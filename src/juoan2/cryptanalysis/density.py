@@ -56,7 +56,7 @@ def assp_density_from_bits(n: int, lg_m: float) -> DensityReport:
     """Anomalous-sum density lg(n!) / lg M, with the lg(n!)/(2n) floor reported."""
     if n < 1 or lg_m <= 0:
         raise ParameterError("need n >= 1 and a positive bit size")
-    lg_fact = math.log2(math.factorial(n))
+    lg_fact = math.lgamma(n + 1) / math.log(2)  # lg(n!) in O(1), however large n is
     d = lg_fact / lg_m
     return DensityReport(n, lg_m, d, classify(d), lower_bound=lg_fact / (2 * n))
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from math import isqrt
 from typing import Sequence
 
-from ..encrypt import compute_L
+from ..encrypt import anomalous_sum as reencode_assp_sum  # the oracle-side name
 from ..errors import ParameterError
 from ..keygen import PublicKey
 from .lll import DEFAULT_DELTA, IntegerLattice, basis_from_generators, lll_reduce
@@ -14,36 +14,11 @@ from .lll import DEFAULT_DELTA, IntegerLattice, basis_from_generators, lll_reduc
 VarMap = tuple[tuple[int, int], ...]
 
 
-def build_ssp_lattice(weights: Sequence[int], S: int, M: int) -> IntegerLattice:
-    """Doubled-coordinate embedding of the modular subset sum into a lattice.
+def _embedding_rows(weights: Sequence[int], target: int) -> tuple[list[tuple[int, ...]], int]:
+    """Rows (2e_i | scale*w_i) and (1, ..., 1 | scale*target), and the scale.
 
-    Rows are generators, not a basis: the modulus row makes wraparound sums
-    reachable but is linearly dependent on the rest over the rationals.
-    A 0/1 solution x appears as the vector (2x - 1 | 0) of norm sqrt(n).
-    """
-    n = len(weights)
-    if n < 1:
-        raise ParameterError("need at least one weight")
-    if not 0 <= S < M:
-        raise ParameterError(f"target {S} outside [0, {M})")
-    scale = isqrt(n + 1) + 1  # smallest integer > sqrt(n+1)
-    rows = []
-    for i, w in enumerate(weights):
-        row = [0] * (n + 1)
-        row[i] = 2
-        row[n] = scale * w
-        rows.append(tuple(row))
-    rows.append(tuple([1] * n + [scale * S]))
-    rows.append(tuple([0] * n + [scale * M]))
-    return IntegerLattice(tuple(rows))
-
-
-def build_plain_ssp_lattice(weights: Sequence[int], T: int) -> IntegerLattice:
-    """Doubled-coordinate embedding of the exact (non-modular) sum T.
-
-    Without a modulus row every coefficient relation must hold over the
-    integers, so short junk vectors are rare at low density.  A 0/1 solution
-    x of sum(x_i w_i) = T appears as (2x - 1 | 0) of norm sqrt(n).
+    The scale is the smallest integer above sqrt(n+1), so any vector with a
+    nonzero last coordinate is longer than a (+-1 | 0) solution.
     """
     n = len(weights)
     if n < 1:
@@ -55,7 +30,32 @@ def build_plain_ssp_lattice(weights: Sequence[int], T: int) -> IntegerLattice:
         row[i] = 2
         row[n] = scale * w
         rows.append(tuple(row))
-    rows.append(tuple([1] * n + [scale * T]))
+    rows.append(tuple([1] * n + [scale * target]))
+    return rows, scale
+
+
+def build_ssp_lattice(weights: Sequence[int], S: int, M: int) -> IntegerLattice:
+    """Doubled-coordinate embedding of the modular subset sum into a lattice.
+
+    Rows are generators, not a basis: the modulus row makes wraparound sums
+    reachable but is linearly dependent on the rest over the rationals.
+    A 0/1 solution x appears as the vector (2x - 1 | 0) of norm sqrt(n).
+    """
+    rows, scale = _embedding_rows(weights, S)
+    if not 0 <= S < M:
+        raise ParameterError(f"target {S} outside [0, {M})")
+    rows.append(tuple([0] * len(weights) + [scale * M]))
+    return IntegerLattice(tuple(rows))
+
+
+def build_plain_ssp_lattice(weights: Sequence[int], T: int) -> IntegerLattice:
+    """Doubled-coordinate embedding of the exact (non-modular) sum T.
+
+    Without a modulus row every coefficient relation must hold over the
+    integers, so short junk vectors are rare at low density.  A 0/1 solution
+    x of sum(x_i w_i) = T appears as (2x - 1 | 0) of norm sqrt(n).
+    """
+    rows, _ = _embedding_rows(weights, T)
     return IntegerLattice(tuple(rows))
 
 
@@ -169,11 +169,3 @@ def lattice_attack(
         if x is not None:
             return x
     return None
-
-
-def reencode_assp_sum(pub: PublicKey, bits: Sequence[int], noise_positions: Sequence[int]) -> int:
-    """Anomalous sum of a (block, noise inclusion) pattern; oracle-side helper."""
-    levels = compute_L(bits)
-    total = sum(levels[i] * pub.C[i] for i in range(len(bits)) if bits[i])
-    total += sum(levels[p - 1] * pub.C[p - 1] for p in noise_positions)
-    return total % pub.M

@@ -3,7 +3,7 @@
 The reduction keeps Gram-Schmidt data as integers (Gram determinants d_i and
 scaled coefficients lambda_ij = mu_ij * d_j), so every comparison is exact;
 this is algebraically identical to rational Gram-Schmidt but avoids fraction
-normalization in the hot loop.  gmpy2 integers are used when available.
+normalization in the hot loop.
 """
 
 from __future__ import annotations
@@ -13,11 +13,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from ..errors import ParameterError
-
-try:
-    from gmpy2 import mpz
-except ImportError:  # pragma: no cover
-    mpz = int
 
 DEFAULT_DELTA = Fraction(3, 4)
 
@@ -83,12 +78,12 @@ def lll_reduce(basis: IntegerLattice, delta: Fraction = DEFAULT_DELTA) -> Intege
     if not Fraction(1, 4) < delta < 1:
         raise ParameterError(f"delta must lie in (1/4, 1), got {delta}")
     p, q = delta.numerator, delta.denominator
-    b = [[mpz(x) for x in row] for row in basis.rows]
+    b = [list(row) for row in basis.rows]
     n = len(b)
 
     # d[i] = Gram determinant of the first i vectors; lam[i][j] = mu_ij * d[j+1].
-    d = [mpz(1)] * (n + 1)
-    lam = [[mpz(0)] * n for _ in range(n)]
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
 
     def incorporate(k: int) -> None:
         for j in range(k + 1):
@@ -135,7 +130,7 @@ def lll_reduce(basis: IntegerLattice, delta: Fraction = DEFAULT_DELTA) -> Intege
         for j in range(k - 2, -1, -1):
             size_reduce(k, j)
         k += 1
-    return IntegerLattice(tuple(tuple(int(x) for x in row) for row in b))
+    return IntegerLattice(tuple(tuple(row) for row in b))
 
 
 def basis_from_generators(lattice: IntegerLattice) -> IntegerLattice:
@@ -144,9 +139,8 @@ def basis_from_generators(lattice: IntegerLattice) -> IntegerLattice:
     Integer row elimination: per column, gcd-combine rows until one pivot
     remains, then recurse on the rest.  Zero rows are dropped.
     """
-    rows = [[mpz(x) for x in row] for row in lattice.rows]
+    rows = [list(row) for row in lattice.rows]
     width = lattice.width
-    out = []
     top = 0
     for col in range(width):
         live = [r for r in range(top, len(rows)) if rows[r][col]]
@@ -160,7 +154,7 @@ def basis_from_generators(lattice: IntegerLattice) -> IntegerLattice:
         if live:
             rows[top], rows[live[0]] = rows[live[0]], rows[top]
             top += 1
-    out = [tuple(int(x) for x in r) for r in rows[:top] if any(r)]
+    out = [tuple(r) for r in rows[:top] if any(r)]
     if not out:
         raise ParameterError("lattice has no nonzero rows")
     return IntegerLattice(tuple(out))

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import comb, gcd
 from random import Random
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from ..encrypt import BitBlock, compute_L, extend_block
+from ..encrypt import BitBlock, anomalous_sum, compute_L, extend_block
 from ..errors import ParameterError
-from ..keygen import ExtraSuperincreasingSeq, PublicKey, weighted_sum
+from ..keygen import ExtraSuperincreasingSeq, PublicKey, first_violation, weighted_sum
 
 MAX_BRUTE_N = 16
 MAX_ENUM_BITS = 20
@@ -26,10 +26,7 @@ def brute_force_assp(pub: PublicKey, S: int) -> list[tuple[tuple[int, ...], froz
         raise ParameterError(f"enumeration bounded at n={MAX_BRUTE_N}, got {n}")
     out = []
     for bits in product((0, 1), repeat=n):
-        levels = compute_L(bits)
-        base = sum(levels[i] * pub.C[i] for i in range(n) if bits[i]) % pub.M
-        free = [i for i in range(n) if not bits[i] and levels[i] > 0]
-        terms = [levels[i] * pub.C[i] % pub.M for i in free]
+        base, free, terms = _noise_terms(pub, bits)
         for mask in range(1 << len(free)):
             total = base
             m = mask
@@ -40,9 +37,21 @@ def brute_force_assp(pub: PublicKey, S: int) -> list[tuple[tuple[int, ...], froz
                 m >>= 1
                 j += 1
             if total % pub.M == S:
-                included = frozenset(free[j] + 1 for j in range(len(free)) if mask >> j & 1)
+                included = frozenset(free[j] for j in range(len(free)) if mask >> j & 1)
                 out.append((bits, included))
     return out
+
+
+def _noise_terms(pub: PublicKey, bits: Sequence[int]) -> tuple[int, list[int], list[int]]:
+    """Noise-free sum of a block, its free noise positions (1-based), and their terms.
+
+    A position is free when its bit is zero and its multiplicity L is nonzero;
+    including it adds L*C_i mod M to the sum.
+    """
+    levels = compute_L(bits)
+    free = [i + 1 for i in range(len(bits)) if not bits[i] and levels[i] > 0]
+    terms = [levels[p - 1] * pub.C[p - 1] % pub.M for p in free]
+    return anomalous_sum(pub, bits, ()), free, terms
 
 
 def check_property2(seq: ExtraSuperincreasingSeq, m: int, limit: int = 1 << 22) -> bool:
@@ -90,28 +99,11 @@ def search_alternative_keys(
         inv = pow(delta, -1, M)
         targets = [c * inv % M for c in pub.C]
         for w in range(2, M):
-            for lever in _injections(n, lever_bound):
+            for lever in permutations(range(1, lever_bound + 1), n):
                 a = [(targets[i] - w * lever[i]) % M for i in range(n)]
-                if _is_admissible(a, M):
+                if first_violation(a) == 0 and weighted_sum(a) < M:
                     found.append((tuple(a), w, delta, lever))
     return found
-
-
-def _injections(n: int, bound: int) -> Iterator[tuple[int, ...]]:
-    from itertools import permutations
-
-    yield from permutations(range(1, bound + 1), n)
-
-
-def _is_admissible(a: Sequence[int], M: int) -> bool:
-    if any(x < 1 for x in a):
-        return False
-    if len(a) > 1 and a[1] <= a[0] + 1:
-        return False
-    for i in range(2, len(a)):
-        if a[i] <= sum((i - j) * a[j] for j in range(i)):
-            return False
-    return weighted_sum(a) < M
 
 
 def ciphertext_multiplicity(
@@ -134,12 +126,9 @@ def ciphertext_multiplicity(
     if mode == "enumerate":
         if resample_padding:
             raise ParameterError("enumerate mode fixes the padding")
-        levels = compute_L(block.bits)
-        base = sum(levels[i] * pub.C[i] for i in range(n) if block.bits[i]) % pub.M
-        free = [i for i in range(n) if not block.bits[i] and levels[i] > 0]
+        base, free, terms = _noise_terms(pub, block.bits)
         if len(free) > MAX_ENUM_BITS:
             raise ParameterError(f"{len(free)} free noise bits exceed the enumeration bound")
-        terms = [levels[i] * pub.C[i] % pub.M for i in free]
         sums = {base}
         for term in terms:
             sums |= {(s + term) % pub.M for s in sums}
@@ -152,10 +141,8 @@ def ciphertext_multiplicity(
             bits = block.bits
             if resample_padding:
                 bits = extend_block(block.bits[: block.n_payload], rng).bits
-            levels = compute_L(bits)
-            level_or_noise = [
-                levels[i] if (bits[i] or rng.randint(0, 1)) else 0 for i in range(n)
-            ]
-            seen.add(sum(k * c for k, c in zip(level_or_noise, pub.C)) % pub.M)
+            # one draw per zero bit, in position order
+            noise = [i + 1 for i in range(n) if not bits[i] and rng.randint(0, 1)]
+            seen.add(anomalous_sum(pub, bits, noise))
         return len(seen)
     raise ParameterError(f"unknown mode {mode!r}")

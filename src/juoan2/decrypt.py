@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .encrypt import BitBlock, Ciphertext, bits_to_bytes, compute_L
+from .encrypt import BitBlock, Ciphertext, anomalous_sum, bits_to_bytes
 from .errors import FramingError, InvalidCiphertextError, ParameterError
 from .keygen import ExtraSuperincreasingSeq, PrivateKey, PublicKey, weighted_sum
 
@@ -142,10 +142,7 @@ def reencrypts_to(
     pub: PublicKey, bits: Sequence[int], noise_positions: Sequence[int], S: int
 ) -> bool:
     """Check that the candidate (bits, noise) pattern re-encrypts to S."""
-    levels = compute_L(bits)
-    total = sum(levels[i] * pub.C[i] for i in range(len(bits)) if bits[i])
-    total += sum(levels[p - 1] * pub.C[p - 1] for p in noise_positions)
-    return total % pub.M == S
+    return anomalous_sum(pub, bits, noise_positions) == S
 
 
 def default_k_max(n_tilde: int) -> int:

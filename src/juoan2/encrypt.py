@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import ParameterError
 from .keygen import PublicKey
@@ -61,12 +61,26 @@ def sample_noise(n_total: int, rng: Random) -> NoiseVector:
     return NoiseVector(tuple(rng.randint(0, 1) for _ in range(n_total)))
 
 
-def encrypt_block(pub: PublicKey, block: BitBlock, noise: NoiseVector) -> Ciphertext:
-    """Accumulate S += L*C_i scanning i = n..1.
+def anomalous_sum(pub: PublicKey, bits: Sequence[int], noise_positions: Iterable[int]) -> int:
+    """Sum of L_i * C_i mod M over set bits and 1-based noise positions.
 
-    A set bit first increments the multiplicity L; a noise bit at a zero
-    position reuses the current L.  Noise under a set bit is inert.
+    Scanning i = n..1, a set bit first increments the multiplicity L; a noise
+    position at a zero bit adds the current L.  Noise under a set bit is inert.
     """
+    noise = set(noise_positions)
+    s = 0
+    level = 0
+    for i in range(len(bits), 0, -1):
+        if bits[i - 1]:
+            level += 1
+            s += level * pub.C[i - 1]
+        elif i in noise:
+            s += level * pub.C[i - 1]
+    return s % pub.M
+
+
+def encrypt_block(pub: PublicKey, block: BitBlock, noise: NoiseVector) -> Ciphertext:
+    """The anomalous sum of the block with the noise vector's set positions."""
     n = pub.n_tilde
     if block.n_total != n or len(noise.bits) != n:
         raise ParameterError(
@@ -74,15 +88,8 @@ def encrypt_block(pub: PublicKey, block: BitBlock, noise: NoiseVector) -> Cipher
         )
     if not any(block.bits):
         raise ParameterError("all-zero block cannot be encrypted")
-    s = 0
-    level = 0
-    for b, r, c in zip(reversed(block.bits), reversed(noise.bits), reversed(pub.C)):
-        if b:
-            level += 1
-            s += level * c
-        elif r:
-            s += level * c
-    return Ciphertext(s % pub.M)
+    noise_positions = (i + 1 for i, r in enumerate(noise.bits) if r)
+    return Ciphertext(anomalous_sum(pub, block.bits, noise_positions))
 
 
 def bytes_to_bits(data: bytes) -> list[int]:

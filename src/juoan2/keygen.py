@@ -80,23 +80,27 @@ def min_modulus_bits(n_tilde: int) -> int:
     return -((-_LG_RATIO_NUM * n_tilde) // _LG_RATIO_DEN)
 
 
+def first_violation(seq: Sequence[int]) -> int:
+    """1-based index of the first element breaking the sequence rule, or 0.
+
+    The rule: A_1 >= 1, A_2 > A_1 + 1, and every later A_i exceeds the
+    weighted prefix sum of (i-j)*A_j over j < i.  One pass, O(n) additions.
+    """
+    plain = 0  # sum of A_j for j < i
+    bound = 0  # sum of (i-j)*A_j for j < i
+    for i, x in enumerate(seq):
+        if x <= bound + (i == 1):  # i == 0: bound is 0; i == 1: bound is A_1
+            return i + 1
+        plain += x
+        bound += plain
+    return 0
+
+
 def validate_extra_superincreasing(seq: Sequence[int]) -> bool:
     """True iff A_2 > A_1 + 1 and every later A_i exceeds sum of (i-j)*A_j."""
-    a = list(seq)
-    if not a:
+    if not seq:
         raise ParameterError("empty sequence")
-    if any(x < 1 for x in a):
-        return False
-    if len(a) >= 2 and a[1] <= a[0] + 1:
-        return False
-    plain = a[0] + (a[1] if len(a) > 1 else 0)  # sum of A_j for j < i
-    bound = 2 * a[0] + (a[1] if len(a) > 1 else 0)  # sum of (i-j)*A_j for next i
-    for i in range(2, len(a)):
-        if a[i] <= bound:
-            return False
-        plain += a[i]
-        bound += plain
-    return True
+    return first_violation(seq) == 0
 
 
 def check_property1(seq: ExtraSuperincreasingSeq, k: int) -> bool:
