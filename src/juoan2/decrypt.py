@@ -1,7 +1,11 @@
-"""Decryption: unit stripping, the -W retry scan, and greedy decomposition.
+"""Decryption: unit stripping, the -W retry search, and greedy decomposition.
 
-The retry scan adds -W once per round and hands the shifted residue to a
-greedy decomposition against the private sequence.  The plain greedy pass
+Each retry adds -W to the unit-stripped residue and hands it to a greedy
+decomposition against the private sequence.  Only residues under the
+sequence's weighted sum can decompose, so the retry search jumps straight
+from one such residue to the next with a Euclid-style reduction on (-W, M):
+O(log M) big-integer operations per residue found, rather than one step per
+retry up to the n_tilde^2 (n_tilde + 1) ceiling.  The plain greedy pass
 (one subtraction choice per position) is what the scheme's algorithm states,
 but at realistic sizes it frequently closes at zero with the wrong bits, and
 wrong retry counts can close spuriously.  When the public key is supplied,
@@ -104,38 +108,34 @@ def decompose_candidates(
         plain[i] = acc
         cap[i] = (cap[i - 1] if i else 0) + acc
 
-    bits = [0] * n
-    noise = [0] * n
+    # Depth-first with an explicit stack, children pushed in reverse branch
+    # order.  An entry (i, s, level, step) is reached by `step` at 0-based
+    # position i + 1; `steps` holds the path from position n - 1 down to it.
     steps: list[GreedyStep] = []
-
-    def walk(i: int, s: int, level: int):
+    stack: list[tuple[int, int, int, GreedyStep | None]] = [(n - 1, target, 0, None)]
+    while stack:
+        i, s, level, step = stack.pop()
+        if step is not None:
+            del steps[n - 2 - i :]
+            steps.append(step)
         if s == 0:
+            path = steps[::-1]
             yield (
-                tuple(bits),
-                tuple(p + 1 for p in range(n) if noise[p]),
+                (0,) * (i + 1) + tuple(1 if p.branch == BRANCH_ONE else 0 for p in path),
+                tuple(p.i for p in path if p.branch == BRANCH_NOISE),
                 tuple(steps),
             )
-            return
+            continue
         if i < 0 or s > level * plain[i] + cap[i]:
-            return
+            continue
         x = a[i]
-        if s >= (level + 1) * x:
-            bits[i] = 1
-            steps.append(GreedyStep(i + 1, BRANCH_ONE, s - (level + 1) * x))
-            yield from walk(i - 1, s - (level + 1) * x, level + 1)
-            steps.pop()
-            bits[i] = 0
+        stack.append((i - 1, s, level, GreedyStep(i + 1, BRANCH_SKIP, s)))
         if level > 0 and s >= level * x:
-            noise[i] = 1
-            steps.append(GreedyStep(i + 1, BRANCH_NOISE, s - level * x))
-            yield from walk(i - 1, s - level * x, level)
-            steps.pop()
-            noise[i] = 0
-        steps.append(GreedyStep(i + 1, BRANCH_SKIP, s))
-        yield from walk(i - 1, s, level)
-        steps.pop()
-
-    yield from walk(n - 1, target, 0)
+            r = s - level * x
+            stack.append((i - 1, r, level, GreedyStep(i + 1, BRANCH_NOISE, r)))
+        if s >= (level + 1) * x:
+            r = s - (level + 1) * x
+            stack.append((i - 1, r, level + 1, GreedyStep(i + 1, BRANCH_ONE, r)))
 
 
 def reencrypts_to(
@@ -150,16 +150,64 @@ def default_k_max(n_tilde: int) -> int:
     return n_tilde * n_tilde * (n_tilde + 1)
 
 
+def _least_multiple_in(a: int, m: int, lo: int, hi: int) -> int | None:
+    """Least x >= 0 with lo <= a*x mod m <= hi, or None; needs 0 <= lo <= hi < m.
+
+    Euclid-style reduction.  When [lo, hi] holds no multiple of a, the least
+    x comes from the least y >= 0 for which some a*x - m*y lies in [lo, hi],
+    and finding y is the same problem on (-m mod a, a) with the range taken
+    mod a.  Reflecting a > m/2 to m - a first (and the range to
+    [m - hi, m - lo]) makes the modulus at least halve per level, so the
+    loop runs at most bit_length(m) levels; they are kept on a list, not
+    the call stack.
+    """
+    levels = []
+    while lo:
+        a %= m
+        if not a:
+            return None
+        if 2 * a > m:
+            a, lo, hi = m - a, m - hi, m - lo
+        x = -(-lo // a)
+        if a * x <= hi:
+            break
+        levels.append((a, m, lo))
+        a, m, lo, hi = -m % a, a, lo % a, hi % a
+    else:
+        x = 0
+    for a, m, lo in reversed(levels):
+        x = -(-(lo + m * x) // a)
+    return x
+
+
 def _shifted_targets(prv: PrivateKey, ct: Ciphertext, k_max: int) -> Iterator[tuple[int, int]]:
-    """Yield (k, shifted residue) for residues small enough to be decomposable."""
+    """Yield (k, t_k) for k = 1..k_max with t_k <= weighted_sum(A), in order.
+
+    t_k = (S * delta^-1 + k * (-W)) mod M is the residue after k retries,
+    and no residue above the budget weighted_sum(A) decomposes.  Rather than
+    stepping k one by one, each next hit is found directly: past a residue
+    t above the budget, the next hit is j more steps on, for the least j
+    with M - t <= j * (-W) mod M <= M - t + budget.  That costs O(log M)
+    big-integer operations per hit, however far apart the hits lie.
+    """
     if not 0 <= ct.S < prv.M:
         raise ParameterError(f"ciphertext {ct.S} outside [0, {prv.M})")
+    M, neg_w = prv.M, prv.neg_w
     budget = weighted_sum(prv.A.A)  # no decomposable target can exceed this
-    t = ct.S * prv.delta_inv % prv.M
-    for k in range(1, k_max + 1):
-        t = (t + prv.neg_w) % prv.M
-        if t <= budget:
-            yield k, t
+    t = ct.S * prv.delta_inv % M
+    k = 0
+    while True:
+        t = (t + neg_w) % M
+        k += 1
+        if t > budget:
+            j = _least_multiple_in(neg_w, M, M - t, M - t + budget)
+            if j is None:
+                return
+            t = (t + j * neg_w) % M
+            k += j
+        if k > k_max:
+            return
+        yield k, t
 
 
 def _scan(

@@ -111,6 +111,10 @@ def encrypt_message(pub: PublicKey, message: bytes, rng: Random) -> list[Ciphert
     exactly gains one pure padding block.
     """
     n = pub.n_payload
+    if pub.n_tilde == n:
+        raise ParameterError(
+            f"key has no padding positions (n_tilde = n = {n}); use encrypt_block"
+        )
     bits = bytes_to_bits(message)
     bits.append(1)
     bits.extend([0] * (-len(bits) % n))

@@ -111,6 +111,19 @@ def test_oracle_rejects_out_of_range_sum(tmp_path, capsys, ref_pub):
     assert code == 1
 
 
+def test_encrypt_with_unpadded_key_names_the_layout(tmp_path, capsys, ref_pub):
+    pub_file = tmp_path / "ref.pub"
+    pub_file.write_text(encode_key(ref_pub))
+    msg = tmp_path / "m"
+    msg.write_bytes(b"x")
+    with pytest.warns(Warning):
+        code, _, err = run(capsys, "encrypt", "--pub", str(pub_file), "--in", str(msg),
+                           "--out", str(tmp_path / "c"), "--seed", "01")
+    assert code == 1
+    assert "key has no padding positions" in err and "use encrypt_block" in err
+    assert "Traceback" not in err
+
+
 def test_attack_subcommand_runs(tmp_path, capsys):
     base = str(tmp_path / "key")
     msg = tmp_path / "m"

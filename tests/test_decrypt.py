@@ -1,5 +1,6 @@
 """Decryption: greedy decomposition, the -W scan, verification, framing."""
 
+import time
 from random import Random
 
 import pytest
@@ -9,18 +10,22 @@ from juoan2 import (
     ExtraSuperincreasingSeq,
     FramingError,
     InvalidCiphertextError,
+    PrivateKey,
     audit_decrypt_block,
     decrypt_block,
     decrypt_message,
     default_k_max,
     encrypt_block,
     encrypt_message,
+    derive_public,
     extend_block,
+    gen_extra_superincreasing,
     greedy_decompose,
     keygen,
     sample_noise,
 )
-from juoan2.encrypt import BitBlock
+from juoan2.encrypt import BitBlock, compute_L
+from juoan2.keygen import sample_lever, sample_units, select_modulus
 
 from conftest import (
     REF_A,
@@ -142,3 +147,42 @@ def test_block_errors_name_the_block():
     cts[1] = Ciphertext(0)
     with pytest.raises(InvalidCiphertextError, match="block 1"):
         decrypt_message(prv, cts, pub)
+
+
+def test_garbage_block_is_rejected_quickly_at_n128():
+    rng = Random(128)
+    pub, prv = keygen(128, rng)
+    ct = Ciphertext(rng.randrange(prv.M))
+    start = time.perf_counter()
+    with pytest.raises(InvalidCiphertextError):
+        decrypt_block(prv, ct, pub)
+    # stepping through all 7.1e6 retry offsets one by one took about 0.9 s
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("n", [512, 700])
+def test_large_message_round_trip(n):
+    rng = Random(n)
+    pub, prv = keygen(n, rng)
+    blocks = encrypt_message(pub, b"large keys", rng)
+    assert decrypt_message(prv, blocks, pub) == b"large keys"
+
+
+def test_audit_lists_the_true_k_at_n128():
+    rng = Random(7)
+    seq = gen_extra_superincreasing(192, rng)
+    M = select_modulus(seq, rng, bits=384)
+    w, delta, neg_w, delta_inv = sample_units(M, rng)
+    lever = sample_lever(192, rng)
+    pub = derive_public(seq, w, delta, lever, M, 128)
+    prv = PrivateKey(seq, neg_w, delta_inv, M, 128)
+    block = extend_block([rng.randint(0, 1) for _ in range(128)], rng)
+    noise = sample_noise(block.n_total, rng)
+    # C_i = (A_i + W * ell(i)) * delta, so each term L_i * C_i of the sum
+    # carries L_i * ell(i) multiples of W, and k is their total
+    levels = compute_L(block.bits)
+    true_k = sum(
+        levels[i] * lever.ell[i] for i in range(192) if block.bits[i] or noise.bits[i]
+    )
+    traces = audit_decrypt_block(prv, encrypt_block(pub, block, noise), pub)
+    assert any(t.k == true_k and t.bits == block.bits for t in traces)

@@ -17,12 +17,6 @@ from juoan2.cryptanalysis import (
 )
 
 
-try:
-    from gmpy2 import mpz
-except ImportError:  # pragma: no cover
-    mpz = int
-
-
 def solve_many(basis_rows, vecs):
     """Exact coordinates of each vec in the row space of a square basis.
 
@@ -33,10 +27,10 @@ def solve_many(basis_rows, vecs):
     n = len(basis_rows)
     width = n + len(vecs)
     aug = [
-        [mpz(basis_rows[j][i]) for j in range(n)] + [mpz(v[i]) for v in vecs]
+        [basis_rows[j][i] for j in range(n)] + [v[i] for v in vecs]
         for i in range(n)
     ]
-    prev = mpz(1)
+    prev = 1
     for k in range(n):
         if not aug[k][k]:
             swap = next(r for r in range(k + 1, n) if aug[r][k])
@@ -48,16 +42,16 @@ def solve_many(basis_rows, vecs):
             top = aug[k]
             for c in range(k + 1, width):
                 row[c] = (row[c] * pivot - factor * top[c]) // prev
-            row[k] = mpz(0)
+            row[k] = 0
         prev = pivot
     out = []
     for t in range(len(vecs)):
         x = [Fraction(0)] * n
         for i in range(n - 1, -1, -1):
-            s = Fraction(int(aug[i][n + t]))
+            s = Fraction(aug[i][n + t])
             for j in range(i + 1, n):
-                s -= int(aug[i][j]) * x[j]
-            x[i] = s / int(aug[i][i])
+                s -= aug[i][j] * x[j]
+            x[i] = s / aug[i][i]
         out.append(x)
     return out
 

@@ -5,11 +5,25 @@ import time
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from juoan2 import DecodeError, decode_key, gen_extra_superincreasing
+from juoan2 import (
+    Ciphertext,
+    DecodeError,
+    decode_key,
+    default_k_max,
+    encrypt_message,
+    gen_extra_superincreasing,
+    keygen,
+)
 from juoan2.cryptanalysis import assp_density_from_bits
+from juoan2.decrypt import (
+    GreedyStep,
+    _least_multiple_in,
+    _shifted_targets,
+    decompose_candidates,
+)
 from juoan2.encrypt import BitBlock, NoiseVector, anomalous_sum, compute_L, encrypt_block
 from juoan2.keygen import PublicKey, first_violation, weighted_sum
 
@@ -103,3 +117,127 @@ def test_assp_density_matches_exact_factorial():
         assert report.density == pytest.approx(exact / (2 * n), rel=1e-12, abs=0)
         assert report.lower_bound == pytest.approx(exact / (2 * n), rel=1e-12, abs=0)
 
+
+def least_multiple_reference(a, m, lo, hi):
+    """Least x >= 0 with lo <= a*x mod m <= hi, by trying x = 0..m-1."""
+    return next((x for x in range(m) if lo <= a * x % m <= hi), None)
+
+
+@st.composite
+def moduli_and_ranges(draw):
+    m = draw(st.integers(1, 60))
+    lo = draw(st.integers(0, m - 1))
+    hi = draw(st.integers(lo, m - 1))
+    return m, lo, hi
+
+
+@given(moduli_and_ranges())
+def test_least_multiple_matches_brute_force(case):
+    m, lo, hi = case
+    for a in range(m):
+        assert _least_multiple_in(a, m, lo, hi) == least_multiple_reference(a, m, lo, hi)
+
+
+def test_least_multiple_reflects_to_stay_logarithmic():
+    # a = m - 1 (a key with W = 1): reducing on (-m mod a, a) without first
+    # reflecting a to m - a drops the modulus by one per level, about a
+    # second of work here; with the reflection the answer comes at once
+    m = 1 << 20
+    start = time.perf_counter()
+    assert _least_multiple_in(m - 1, m, 1, 1) == m - 1
+    assert time.perf_counter() - start < 0.25
+
+
+def linear_shifted_targets(prv, ct, k_max):
+    """The retry scan one offset at a time: the reference for the jump search."""
+    budget = weighted_sum(prv.A.A)
+    t = ct.S * prv.delta_inv % prv.M
+    for k in range(1, k_max + 1):
+        t = (t + prv.neg_w) % prv.M
+        if t <= budget:
+            yield k, t
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([4, 8, 16, 32]), st.integers(0, 2**32), st.booleans(), st.data())
+def test_shifted_targets_match_the_linear_scan(n, seed, genuine, data):
+    rng = Random(seed)
+    pub, prv = keygen(n, rng)
+    if genuine:
+        ct = encrypt_message(pub, b"", rng)[0]
+    else:
+        ct = Ciphertext(rng.randrange(prv.M))
+    full = default_k_max(prv.n_tilde)
+    hits = list(linear_shifted_targets(prv, ct, full))
+    assert list(_shifted_targets(prv, ct, full)) == hits
+    limits = {0, 1}
+    if hits:
+        k = data.draw(st.sampled_from(hits))[0]
+        limits |= {k, k - 1}
+    for k_max in sorted(limits):
+        assert list(_shifted_targets(prv, ct, k_max)) == list(
+            linear_shifted_targets(prv, ct, k_max)
+        )
+
+
+def recursive_decompose_candidates(seq, target):
+    """The recursive tree walk: the reference for the explicit-stack walk."""
+    a = seq.A
+    n = len(a)
+    plain = [0] * n
+    cap = [0] * n
+    acc = 0
+    for i, x in enumerate(a):
+        acc += x
+        plain[i] = acc
+        cap[i] = (cap[i - 1] if i else 0) + acc
+    bits = [0] * n
+    noise = [0] * n
+    steps = []
+
+    def walk(i, s, level):
+        if s == 0:
+            yield tuple(bits), tuple(p + 1 for p in range(n) if noise[p]), tuple(steps)
+            return
+        if i < 0 or s > level * plain[i] + cap[i]:
+            return
+        x = a[i]
+        if s >= (level + 1) * x:
+            bits[i] = 1
+            steps.append(GreedyStep(i + 1, "one", s - (level + 1) * x))
+            yield from walk(i - 1, s - (level + 1) * x, level + 1)
+            steps.pop()
+            bits[i] = 0
+        if level > 0 and s >= level * x:
+            noise[i] = 1
+            steps.append(GreedyStep(i + 1, "noise", s - level * x))
+            yield from walk(i - 1, s - level * x, level)
+            steps.pop()
+            noise[i] = 0
+        steps.append(GreedyStep(i + 1, "skip", s))
+        yield from walk(i - 1, s, level)
+        steps.pop()
+
+    yield from walk(n - 1, target, 0)
+
+
+@st.composite
+def sequences_and_targets(draw):
+    n = draw(st.integers(2, 16))
+    seq = gen_extra_superincreasing(n, Random(draw(st.integers(0, 2**32))))
+    if draw(st.booleans()):
+        target = draw(st.integers(0, weighted_sum(seq.A)))
+    else:  # an unreduced anomalous sum, which always decomposes
+        bits = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        noise = draw(st.lists(st.integers(1, n), max_size=n))
+        target = anomalous_sum(PublicKey(seq.A, weighted_sum(seq.A) + 1, n), bits, noise)
+    return seq, target
+
+
+@settings(deadline=None)
+@given(sequences_and_targets())
+def test_decompose_candidates_match_the_recursive_walk(case):
+    seq, target = case
+    assert list(decompose_candidates(seq, target)) == list(
+        recursive_decompose_candidates(seq, target)
+    )
