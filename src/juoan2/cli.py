@@ -225,7 +225,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidCiphertextError as exc:
         print(f"invalid ciphertext: {exc}", file=sys.stderr)
         return 1
-    except (DecodeError, FramingError, ParameterError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

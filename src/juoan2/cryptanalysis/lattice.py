@@ -148,24 +148,27 @@ def lattice_attack(
     Returns the solution bits over `weights`, or None.  With `assp_map`, a
     candidate must additionally decode to a structurally consistent block.
 
-    The modular lattice goes first, but the modulus row together with the
-    dense target row spans a parity sublattice (any uniform-parity vector
-    with zero last coordinate is an integer combination of the generators
-    once gcd(2S - sum(w), M) divides the residue), so its reduction is
-    usually junk.  The productive path guesses the wraparound count m and
-    attacks the exact sum S + m*M without a modulus row; m is below
-    len(weights) because each weight is below M.  `max_wraps` caps the
-    guesses (default: all of them).
+    Each guess of the wraparound count m gets one reduction: that of the
+    exact-sum lattice for S + m*M, with no modulus row (the embedding of
+    Coster, Joux, LaMacchia, Odlyzko, Schnorr and Stern, "Improved
+    low-density subset sum algorithms", 1992).  m is below len(weights)
+    because each weight is below M; `max_wraps` caps the guesses (default:
+    all of them).  Raises ParameterError when S is outside [0, M) or
+    max_wraps is negative.
     """
+    if not 0 <= S < M:
+        raise ParameterError(f"target {S} outside [0, {M})")
     if max_wraps is None:
-        max_wraps = len(weights) - 1
-    basis = basis_from_generators(build_ssp_lattice(weights, S, M))
-    x = _scan_reduced(lll_reduce(basis, DEFAULT_DELTA), weights, S, M, assp_map)
-    if x is not None:
-        return x
+        max_wraps = max(len(weights) - 1, 0)  # no weights: the builder rejects them
+    elif max_wraps < 0:
+        raise ParameterError(f"max_wraps must be >= 0, got {max_wraps}")
+    total = sum(weights)
     for m in range(max_wraps + 1):
-        reduced = lll_reduce(build_plain_ssp_lattice(weights, S + m * M), DEFAULT_DELTA)
-        x = _scan_reduced(reduced, weights, S, M, assp_map)
+        T = S + m * M
+        lattice = build_plain_ssp_lattice(weights, T)
+        if 2 * T == total:  # the target row is half the sum of the weight rows
+            lattice = basis_from_generators(lattice)
+        x = _scan_reduced(lll_reduce(lattice, DEFAULT_DELTA), weights, S, M, assp_map)
         if x is not None:
             return x
     return None

@@ -233,29 +233,20 @@ def _scan(
 
 
 def decrypt_block(
-    prv: PrivateKey,
-    ct: Ciphertext,
-    pub: PublicKey | None = None,
-    k_max: int | None = None,
+    prv: PrivateKey, ct: Ciphertext, pub: PublicKey | None = None
 ) -> tuple[BitBlock, DecryptTrace]:
     """First-success scan; raises InvalidCiphertextError if no k terminates at zero."""
-    if k_max is None:
-        k_max = default_k_max(prv.n_tilde)
+    k_max = default_k_max(prv.n_tilde)
     for trace in _scan(prv, ct, k_max, pub):
         return BitBlock(trace.bits, prv.n_payload), trace
     raise InvalidCiphertextError(f"no k <= {k_max} decomposes ciphertext {ct.S}")
 
 
 def audit_decrypt_block(
-    prv: PrivateKey,
-    ct: Ciphertext,
-    pub: PublicKey | None = None,
-    k_max: int | None = None,
+    prv: PrivateKey, ct: Ciphertext, pub: PublicKey | None = None
 ) -> list[DecryptTrace]:
     """Enumerate every k whose scan succeeds (ambiguity measurement)."""
-    if k_max is None:
-        k_max = default_k_max(prv.n_tilde)
-    return list(_scan(prv, ct, k_max, pub))
+    return list(_scan(prv, ct, default_k_max(prv.n_tilde), pub))
 
 
 def decrypt_message(

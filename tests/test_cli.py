@@ -1,9 +1,12 @@
 """Command-line interface: subcommands, exit codes, reproducibility."""
 
+from pathlib import Path
+
 import pytest
 
-from juoan2 import encode_key
+from juoan2 import Ciphertext, decode_key, encode_ciphertext, encode_key
 from juoan2.cli import main
+from juoan2.cryptanalysis import expand_assp_to_ssp
 
 from conftest import REF_S
 
@@ -136,6 +139,37 @@ def test_attack_subcommand_runs(tmp_path, capsys):
                        "--ct", str(ct), "--trials", "4")
     assert code in (0, 1)
     assert "block 0:" in out
+
+
+def test_attack_survives_a_half_sum_ciphertext(tmp_path, capsys):
+    # S chosen so that 2(S + m*M) equals the sum of the expanded weights for
+    # a wrap guess m the attack tries: that guess's lattice rows are dependent.
+    base = str(tmp_path / "key")
+    run(capsys, "keygen", "-n", "4", "--seed", "01", "-o", base)
+    pub = decode_key(Path(base + ".pub").read_text())
+    weights, _ = expand_assp_to_ssp(pub)
+    assert sum(weights) % 2 == 0 and sum(weights) // 2 // pub.M < len(weights)
+    ct = tmp_path / "c"
+    ct.write_bytes(encode_ciphertext([Ciphertext(sum(weights) // 2 % pub.M)], 4))
+    code, out, err = run(capsys, "attack", "--pub", base + ".pub", "--ct", str(ct))
+    assert "rank deficient" not in err
+    assert "block 0:" in out
+    assert code in (0, 1)
+
+
+def test_attack_rejects_negative_trials(tmp_path, capsys):
+    base = str(tmp_path / "key")
+    msg = tmp_path / "m"
+    ct = tmp_path / "c"
+    msg.write_bytes(b"a")
+    run(capsys, "keygen", "-n", "4", "--seed", "07", "-o", base)
+    run(capsys, "encrypt", "--pub", base + ".pub", "--in", str(msg),
+        "--out", str(ct), "--seed", "03")
+    code, out, err = run(capsys, "attack", "--pub", base + ".pub",
+                         "--ct", str(ct), "--trials", "-1")
+    assert code == 1
+    assert "max_wraps must be >= 0" in err
+    assert "block 0:" not in out
 
 
 def test_wrong_key_type_fails(tmp_path, capsys):

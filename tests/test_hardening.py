@@ -1,14 +1,25 @@
-"""Key headers that cannot describe a working key, and the stdlib-only runtime."""
+"""Malformed key and ciphertext files, and the stdlib-only runtime."""
 
 import ast
 import sys
+import warnings
 from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import juoan2
-from juoan2 import DecodeError, decode_key, encode_key, keygen
+from juoan2 import (
+    DecodeError,
+    decode_ciphertext,
+    decode_key,
+    encode_ciphertext,
+    encode_key,
+    encrypt_message,
+    keygen,
+)
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +34,50 @@ def test_decode_rejects_np_that_does_not_fit_n(pair_n12, kind, np):
     assert "\nn=18\nnp=12\n" in text
     with pytest.raises(DecodeError, match="does not fit"):
         decode_key(text.replace("\nnp=12\n", f"\nnp={np}\n"))
+
+
+_PUB, _PRV = keygen(4, Random(4))
+VALID_KEYS = (encode_key(_PUB), encode_key(_PRV), encode_key(keygen(12, Random(12))[1]))
+VALID_CIPHERTEXTS = (
+    encode_ciphertext(encrypt_message(_PUB, b"fuzz", Random(1)), _PUB.n_payload),
+    encode_ciphertext([], 4),
+)
+
+
+@st.composite
+def mutated(draw, originals, alphabet):
+    """One of `originals` with a few characters or bytes replaced, deleted or inserted."""
+    data = draw(st.sampled_from(originals))
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.sampled_from(range(len(data) + 1)))  # uniform, unlike integers()
+        cut = draw(st.integers(0, 3))
+        data = data[:pos] + draw(alphabet) + data[pos + cut :]
+    return data
+
+
+KEY_ALPHABET = st.text(st.sampled_from("0123456789abcdefABCDEF-+_=,\n xnpMCANWDI\u0663"), max_size=3)
+
+
+def decodes_or_rejects(decode, data) -> None:
+    """`decode` may return or raise DecodeError; any other exception fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a small modulus only warns
+        try:
+            decode(data)
+        except DecodeError:
+            pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(mutated(VALID_KEYS, KEY_ALPHABET), st.text(max_size=200)))
+def test_decode_key_raises_only_decode_error(text):
+    decodes_or_rejects(decode_key, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(mutated(VALID_CIPHERTEXTS, st.binary(max_size=3)), st.binary(max_size=64)))
+def test_decode_ciphertext_raises_only_decode_error(data):
+    decodes_or_rejects(decode_ciphertext, data)
 
 
 def test_stdlib_only_imports():

@@ -12,6 +12,7 @@ from juoan2.cryptanalysis import (
     build_ssp_lattice,
     expand_assp_to_ssp,
     kappa_from_assignment,
+    lattice,
     lattice_attack,
     lll_reduce,
     planted_ssp_instance,
@@ -123,6 +124,104 @@ def test_modular_lattice_reduction_is_parity_junk():
     assert len(short) >= 10
     sol = tuple(2 * b - 1 for b in x) + (0,)
     assert sol not in reduced.rows and tuple(-c for c in sol) not in reduced.rows
+
+
+def modular_pass_solution(weights, S, M):
+    """A verified solution read off one reduction of the modular lattice, or None."""
+    reduced = lll_reduce(basis_from_generators(build_ssp_lattice(weights, S, M)))
+    return lattice._scan_reduced(reduced, weights, S, M, None)
+
+
+def half_sum_instance(n, bits, rng):
+    """Random weights below 2^bits with a planted x of sum(x_i w_i) = sum(w) / 2."""
+    M = 1 << bits
+    while True:
+        weights = [rng.randint(1, M - 1) for _ in range(n)]
+        x = [rng.randint(0, 1) for _ in range(n)]
+        if not 0 < sum(x) < n:
+            continue
+        gap = sum(w for b, w in zip(x, weights) if not b) - sum(w for b, w in zip(x, weights) if b)
+        i = min((j for j in range(n) if x[j] == (gap > 0)), key=lambda j: weights[j])
+        weights[i] += abs(gap)  # the lighter side takes the whole gap
+        if weights[i] < M:
+            return tuple(weights), tuple(x), sum(weights) // 2 % M, M
+
+
+def test_exact_sum_pass_finds_whatever_the_modular_pass_finds():
+    # The modular lattice is reduced here, not in lattice_attack: on every
+    # planted instance where its reduction yields a verified solution, the
+    # wraparound-guess pass alone must return one as well.
+    modular_hits = 0
+    for n in range(4, 11):
+        for bits in (n, 2 * n, 3 * n):
+            for seed in range(6):
+                rng = Random(1000 * n + 10 * bits + seed)
+                for weights, _, S, M in (
+                    planted_ssp_instance(n, bits, rng),
+                    half_sum_instance(n, bits, rng),
+                ):
+                    if modular_pass_solution(weights, S, M) is None:
+                        continue
+                    modular_hits += 1
+                    got = lattice_attack(weights, S, M)
+                    assert got is not None, (n, bits, seed)
+                    assert sum(b * w for b, w in zip(got, weights)) % M == S
+    assert modular_hits >= 150
+
+
+def test_lattice_attack_reduces_once_per_wrap_guess(monkeypatch):
+    counts = {"lll": 0, "guesses": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(lattice, "lll_reduce", counted(lattice.lll_reduce, "lll"))
+    monkeypatch.setattr(
+        lattice, "build_plain_ssp_lattice", counted(lattice.build_plain_ssp_lattice, "guesses")
+    )
+    # Even weights, even modulus, odd target: no guess can succeed, so all are tried.
+    rng = Random(5)
+    weights = tuple(2 * rng.randint(1, 1 << 15) for _ in range(12))
+    for max_wraps, tried in ((3, 4), (0, 1), (None, 12)):
+        counts.update(lll=0, guesses=0)
+        assert lattice_attack(weights, 12345, 1 << 17, max_wraps=max_wraps) is None
+        assert counts == {"lll": tried, "guesses": tried}
+    for seed in range(5):
+        weights, _, S, M = planted_ssp_instance(16, 32, Random(seed))
+        counts.update(lll=0, guesses=0)
+        lattice_attack(weights, S, M)
+        assert counts["lll"] == counts["guesses"] >= 1
+
+
+def test_lattice_attack_survives_a_half_sum_wrap_guess():
+    # When 2(S + m*M) == sum(w), the target row is half the sum of the
+    # weight rows, so that guess's rows are dependent.
+    weights, _, _, M = planted_ssp_instance(20, 40, Random(3))
+    weights = (weights[0] + sum(weights) % 2,) + weights[1:]
+    S = sum(weights) // 2 % M
+    assert sum(weights) // 2 // M == 5
+    got = lattice_attack(weights, S, M)
+    assert got is None or sum(b * w for b, w in zip(got, weights)) % M == S
+    for seed in range(5):
+        weights, x, S, M = half_sum_instance(16, 32, Random(seed))
+        assert 2 * sum(b * w for b, w in zip(x, weights)) == sum(weights)
+        got = lattice_attack(weights, S, M)
+        assert got is not None and sum(b * w for b, w in zip(got, weights)) % M == S
+
+
+def test_lattice_attack_rejects_bad_input():
+    with pytest.raises(ParameterError, match="outside"):
+        lattice_attack((3, 4), 9, 7)
+    with pytest.raises(ParameterError, match="outside"):
+        lattice_attack((3, 4), -1, 7)
+    with pytest.raises(ParameterError, match="max_wraps"):
+        lattice_attack((3, 4), 5, 7, max_wraps=-1)
+    with pytest.raises(ParameterError):
+        lattice_attack((), 0, 7)
 
 
 def test_reencode_assp_sum_matches_reference(ref_pub):
