@@ -203,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack", help="run the lattice attack on a ciphertext")
     p.add_argument("--pub", required=True)
     p.add_argument("--ct", required=True)
-    p.add_argument("--trials", type=int, help="cap on wraparound guesses")
+    p.add_argument("--trials", type=int,
+                   help="cap on wraparound guesses (at most one per expanded weight)")
     p.set_defaults(func=_cmd_attack)
 
     p = sub.add_parser("oracle", help="brute-force all preimages of a sum")

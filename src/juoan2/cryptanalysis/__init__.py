@@ -28,6 +28,7 @@ from .lattice import (
 from .lll import (
     DEFAULT_DELTA,
     IntegerLattice,
+    ReducedBasis,
     basis_from_generators,
     gram_schmidt,
     is_size_reduced,
@@ -47,6 +48,7 @@ __all__ = [
     "DensityReport",
     "ExperimentRow",
     "IntegerLattice",
+    "ReducedBasis",
     "assp_density",
     "assp_density_from_bits",
     "basis_from_generators",

@@ -65,10 +65,10 @@ def run_assp_attack_trial(
 ) -> ExperimentRow:
     """Attack a genuine ciphertext via the bit-expanded subset-sum lattice.
 
-    `max_wraps` caps the wraparound guesses, and each guess costs one LLL
-    reduction of the expanded exact-sum lattice (default: one per expanded
-    weight); the expanded instance sits far above density 1, so extra
-    guesses buy nothing but wall time.
+    `max_wraps` caps the wraparound guesses (default and ceiling: one per
+    expanded weight), and each guess costs one row appended to the reduced
+    weight rows of the expanded exact-sum lattice; the expanded instance
+    sits far above density 1, so extra guesses buy nothing but wall time.
     """
     pub, _ = keygen(n_payload, rng)
     block = extend_block([rng.randint(0, 1) for _ in range(n_payload)], rng)

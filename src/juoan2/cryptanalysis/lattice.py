@@ -8,7 +8,7 @@ from typing import Sequence
 from ..encrypt import anomalous_sum as reencode_assp_sum  # the oracle-side name
 from ..errors import ParameterError
 from ..keygen import PublicKey
-from .lll import DEFAULT_DELTA, IntegerLattice, basis_from_generators, lll_reduce
+from .lll import DEFAULT_DELTA, IntegerLattice, ReducedBasis, basis_from_generators, lll_reduce
 
 # (position, power) per expanded bit-variable
 VarMap = tuple[tuple[int, int], ...]
@@ -148,27 +148,37 @@ def lattice_attack(
     Returns the solution bits over `weights`, or None.  With `assp_map`, a
     candidate must additionally decode to a structurally consistent block.
 
-    Each guess of the wraparound count m gets one reduction: that of the
-    exact-sum lattice for S + m*M, with no modulus row (the embedding of
-    Coster, Joux, LaMacchia, Odlyzko, Schnorr and Stern, "Improved
-    low-density subset sum algorithms", 1992).  m is below len(weights)
-    because each weight is below M; `max_wraps` caps the guesses (default:
-    all of them).  Raises ParameterError when S is outside [0, M) or
-    max_wraps is negative.
+    Each guess of the wraparound count m gets the exact-sum lattice for
+    S + m*M, with no modulus row (the embedding of Coster, Joux, LaMacchia,
+    Odlyzko, Schnorr and Stern, "Improved low-density subset sum
+    algorithms", 1992).  Only its last row depends on m, so the weight rows
+    are reduced once per call and each guess appends its target row to a
+    copy of that reduction.  When 2*(S + m*M) == sum(weights) the target row
+    is half the sum of the weight rows; that guess's lattice is reduced from
+    its generators instead.  m is below len(weights) because each weight is
+    below M (a larger m makes the target exceed the sum of all weights), so
+    `max_wraps`, which caps the guesses, is clamped to len(weights) - 1, its
+    default.  Raises ParameterError when S is outside [0, M) or max_wraps is
+    negative.
     """
     if not 0 <= S < M:
         raise ParameterError(f"target {S} outside [0, {M})")
-    if max_wraps is None:
-        max_wraps = max(len(weights) - 1, 0)  # no weights: the builder rejects them
-    elif max_wraps < 0:
+    if max_wraps is not None and max_wraps < 0:
         raise ParameterError(f"max_wraps must be >= 0, got {max_wraps}")
+    rows, _ = _embedding_rows(weights, S)
+    ceiling = len(weights) - 1
+    max_wraps = ceiling if max_wraps is None else min(max_wraps, ceiling)
+    base = ReducedBasis(rows[:-1], DEFAULT_DELTA)
     total = sum(weights)
     for m in range(max_wraps + 1):
         T = S + m * M
-        lattice = build_plain_ssp_lattice(weights, T)
-        if 2 * T == total:  # the target row is half the sum of the weight rows
-            lattice = basis_from_generators(lattice)
-        x = _scan_reduced(lll_reduce(lattice, DEFAULT_DELTA), weights, S, M, assp_map)
+        if 2 * T == total:
+            generators = build_plain_ssp_lattice(weights, T)
+            reduced = lll_reduce(basis_from_generators(generators), DEFAULT_DELTA)
+        else:
+            target_row = _embedding_rows(weights, T)[0][-1]
+            reduced = base.appended(target_row).lattice
+        x = _scan_reduced(reduced, weights, S, M, assp_map)
         if x is not None:
             return x
     return None

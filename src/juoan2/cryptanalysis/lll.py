@@ -3,14 +3,16 @@
 The reduction keeps Gram-Schmidt data as integers (Gram determinants d_i and
 scaled coefficients lambda_ij = mu_ij * d_j), so every comparison is exact;
 this is algebraically identical to rational Gram-Schmidt but avoids fraction
-normalization in the hot loop.
+normalization in the hot loop.  `ReducedBasis` keeps that data after a
+reduction, so a row can be appended to a reduced basis without reducing the
+rest again; `lll_reduce` is the one-shot form of the same reducer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ..errors import ParameterError
 
@@ -70,67 +72,107 @@ def lovasz_holds(rows: Sequence[Sequence[int]], delta: Fraction = DEFAULT_DELTA)
     return True
 
 
+class ReducedBasis:
+    """An LLL-reduced basis that keeps its integral Gram-Schmidt data.
+
+    The rows are reduced in the order given: each joins the reduced prefix
+    before it (its Gram-Schmidt data computed against that prefix alone), and
+    the LLL loop then runs from it until the whole basis is reduced again.
+    Because the data outlives the reduction, `appended` reduces this basis
+    plus one more row at the cost of that row alone: O(n^2) big-integer work
+    to incorporate it, then the same loop from it, instead of an O(n^3)
+    reduction from scratch.
+
+    Raises ParameterError on dependent rows, rows of unequal length, or
+    delta outside (1/4, 1).
+    """
+
+    def __init__(self, rows: Iterable[Sequence[int]] = (), delta: Fraction = DEFAULT_DELTA):
+        if not Fraction(1, 4) < delta < 1:
+            raise ParameterError(f"delta must lie in (1/4, 1), got {delta}")
+        self.delta = delta
+        self._b: list[list[int]] = []
+        # d[i] = Gram determinant of the first i rows; lam[k][j] = mu_kj * d[j+1], j < k.
+        self._d = [1]
+        self._lam: list[list[int]] = []
+        for row in rows:
+            self._push(row)
+
+    @property
+    def lattice(self) -> IntegerLattice:
+        return IntegerLattice(tuple(tuple(row) for row in self._b))
+
+    def appended(self, row: Sequence[int]) -> ReducedBasis:
+        """The reduction of these rows plus `row`, as a new object; self is unchanged."""
+        new = ReducedBasis(delta=self.delta)
+        new._b = [list(r) for r in self._b]
+        new._d = list(self._d)
+        new._lam = [list(r) for r in self._lam]
+        new._push(row)
+        return new
+
+    def _push(self, row: Sequence[int]) -> None:
+        b, d, lam = self._b, self._d, self._lam
+        if b and len(row) != len(b[0]):
+            raise ParameterError("rows have unequal lengths")
+        k = len(b)
+        mu: list[int] = []
+        for j in range(k + 1):
+            other, lam_j = (b[j], lam[j]) if j < k else (row, mu)
+            u = sum(x * y for x, y in zip(row, other))
+            for i in range(j):
+                u = (d[i + 1] * u - mu[i] * lam_j[i]) // d[i]
+            if j < k:
+                mu.append(u)
+        if u == 0:
+            raise ParameterError(f"basis is rank deficient at row {k + 1}")
+        b.append(list(row))
+        d.append(u)
+        lam.append(mu)
+        if k:
+            self._reduce_last()
+
+    def _reduce_last(self) -> None:
+        """LLL loop from the last row, given that the rows before it are reduced."""
+        b, d, lam = self._b, self._d, self._lam
+        p, q = self.delta.numerator, self.delta.denominator
+        k = kmax = len(b) - 1
+
+        def size_reduce(k: int, j: int) -> None:
+            if 2 * abs(lam[k][j]) > d[j + 1]:
+                r = (2 * lam[k][j] + d[j + 1]) // (2 * d[j + 1])  # nearest integer
+                b[k] = [x - r * y for x, y in zip(b[k], b[j])]
+                lam[k][j] -= r * d[j + 1]
+                for i in range(j):
+                    lam[k][i] -= r * lam[j][i]
+
+        while k <= kmax:
+            size_reduce(k, k - 1)
+            while q * (d[k - 1] * d[k + 1] + lam[k][k - 1] ** 2) < p * d[k] ** 2:
+                # swap rows k-1 and k, updating the integral GS data in place
+                b[k], b[k - 1] = b[k - 1], b[k]
+                for j in range(k - 1):
+                    lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+                lam_ = lam[k][k - 1]
+                new_dk = (d[k - 1] * d[k + 1] + lam_ * lam_) // d[k]
+                for i in range(k + 1, kmax + 1):
+                    t = lam[i][k]
+                    lam[i][k] = (d[k + 1] * lam[i][k - 1] - lam_ * t) // d[k]
+                    lam[i][k - 1] = (new_dk * t + lam_ * lam[i][k]) // d[k + 1]
+                d[k] = new_dk
+                k = max(k - 1, 1)
+                size_reduce(k, k - 1)
+            for j in range(k - 2, -1, -1):
+                size_reduce(k, j)
+            k += 1
+
+
 def lll_reduce(basis: IntegerLattice, delta: Fraction = DEFAULT_DELTA) -> IntegerLattice:
     """Reduce a full-rank basis; output spans the same lattice.
 
     Raises ParameterError on dependent rows or delta outside (1/4, 1).
     """
-    if not Fraction(1, 4) < delta < 1:
-        raise ParameterError(f"delta must lie in (1/4, 1), got {delta}")
-    p, q = delta.numerator, delta.denominator
-    b = [list(row) for row in basis.rows]
-    n = len(b)
-
-    # d[i] = Gram determinant of the first i vectors; lam[i][j] = mu_ij * d[j+1].
-    d = [1] * (n + 1)
-    lam = [[0] * n for _ in range(n)]
-
-    def incorporate(k: int) -> None:
-        for j in range(k + 1):
-            u = sum(x * y for x, y in zip(b[k], b[j]))
-            for i in range(j):
-                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
-            if j < k:
-                lam[k][j] = u
-            else:
-                if u == 0:
-                    raise ParameterError(f"basis is rank deficient at row {k + 1}")
-                d[k + 1] = u
-
-    def size_reduce(k: int, j: int) -> None:
-        if 2 * abs(lam[k][j]) > d[j + 1]:
-            r = (2 * lam[k][j] + d[j + 1]) // (2 * d[j + 1])  # nearest integer
-            b[k] = [x - r * y for x, y in zip(b[k], b[j])]
-            lam[k][j] -= r * d[j + 1]
-            for i in range(j):
-                lam[k][i] -= r * lam[j][i]
-
-    incorporate(0)
-    kmax = 0
-    k = 1
-    while k < n:
-        if k > kmax:
-            incorporate(k)
-            kmax = k
-        size_reduce(k, k - 1)
-        while q * (d[k - 1] * d[k + 1] + lam[k][k - 1] ** 2) < p * d[k] ** 2:
-            # swap rows k-1 and k, updating the integral GS data in place
-            b[k], b[k - 1] = b[k - 1], b[k]
-            for j in range(k - 1):
-                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
-            lam_ = lam[k][k - 1]
-            new_dk = (d[k - 1] * d[k + 1] + lam_ * lam_) // d[k]
-            for i in range(k + 1, kmax + 1):
-                t = lam[i][k]
-                lam[i][k] = (d[k + 1] * lam[i][k - 1] - lam_ * t) // d[k]
-                lam[i][k - 1] = (new_dk * t + lam_ * lam[i][k]) // d[k + 1]
-            d[k] = new_dk
-            k = max(k - 1, 1)
-            size_reduce(k, k - 1)
-        for j in range(k - 2, -1, -1):
-            size_reduce(k, j)
-        k += 1
-    return IntegerLattice(tuple(tuple(row) for row in b))
+    return ReducedBasis(basis.rows, delta).lattice
 
 
 def basis_from_generators(lattice: IntegerLattice) -> IntegerLattice:

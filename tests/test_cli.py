@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, reproducibility."""
 
+import time
 from pathlib import Path
 
 import pytest
@@ -170,6 +171,22 @@ def test_attack_rejects_negative_trials(tmp_path, capsys):
     assert code == 1
     assert "max_wraps must be >= 0" in err
     assert "block 0:" not in out
+
+
+def test_attack_with_huge_trials_returns_promptly(tmp_path, capsys):
+    base = str(tmp_path / "key")
+    msg = tmp_path / "m"
+    ct = tmp_path / "c"
+    msg.write_bytes(b"a")
+    run(capsys, "keygen", "-n", "4", "--seed", "07", "-o", base)
+    run(capsys, "encrypt", "--pub", base + ".pub", "--in", str(msg),
+        "--out", str(ct), "--seed", "03")
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "attack", "--pub", base + ".pub",
+                       "--ct", str(ct), "--trials", "1000000000")
+    assert time.perf_counter() - t0 < 2
+    assert code in (0, 1)
+    assert "block 0:" in out
 
 
 def test_wrong_key_type_fails(tmp_path, capsys):

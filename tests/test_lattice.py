@@ -1,5 +1,6 @@
 """Attack lattice construction, bit expansion, and the recovery pipeline."""
 
+import time
 from random import Random
 
 import pytest
@@ -169,32 +170,79 @@ def test_exact_sum_pass_finds_whatever_the_modular_pass_finds():
     assert modular_hits >= 150
 
 
-def test_lattice_attack_reduces_once_per_wrap_guess(monkeypatch):
-    counts = {"lll": 0, "guesses": 0}
+def count_reductions(monkeypatch):
+    """Count, inside lattice_attack, weight-row reductions, row appends and cold reductions."""
+    counts = {"base": 0, "appended": 0, "cold": 0}
 
-    def counted(fn, key):
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
+    class CountedBasis(lattice.ReducedBasis):
+        def __init__(self, *args, **kwargs):
+            counts["base"] += 1
+            super().__init__(*args, **kwargs)
 
-        return wrapper
+    appended = lattice.ReducedBasis.appended
+    cold = lattice.lll_reduce
 
-    monkeypatch.setattr(lattice, "lll_reduce", counted(lattice.lll_reduce, "lll"))
-    monkeypatch.setattr(
-        lattice, "build_plain_ssp_lattice", counted(lattice.build_plain_ssp_lattice, "guesses")
-    )
+    def counted_appended(self, row):
+        counts["appended"] += 1
+        return appended(self, row)
+
+    def counted_cold(*args, **kwargs):
+        counts["cold"] += 1
+        return cold(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "ReducedBasis", CountedBasis)
+    monkeypatch.setattr(lattice.ReducedBasis, "appended", counted_appended)
+    monkeypatch.setattr(lattice, "lll_reduce", counted_cold)
+    return counts
+
+
+def test_lattice_attack_reduces_weight_rows_once_and_appends_once_per_guess(monkeypatch):
+    counts = count_reductions(monkeypatch)
     # Even weights, even modulus, odd target: no guess can succeed, so all are tried.
     rng = Random(5)
     weights = tuple(2 * rng.randint(1, 1 << 15) for _ in range(12))
     for max_wraps, tried in ((3, 4), (0, 1), (None, 12)):
-        counts.update(lll=0, guesses=0)
+        counts.update(base=0, appended=0, cold=0)
         assert lattice_attack(weights, 12345, 1 << 17, max_wraps=max_wraps) is None
-        assert counts == {"lll": tried, "guesses": tried}
+        assert counts == {"base": 1, "appended": tried, "cold": 0}
     for seed in range(5):
         weights, _, S, M = planted_ssp_instance(16, 32, Random(seed))
-        counts.update(lll=0, guesses=0)
-        lattice_attack(weights, S, M)
-        assert counts["lll"] == counts["guesses"] >= 1
+        counts.update(base=0, appended=0, cold=0)
+        assert lattice_attack(weights, S, M) is not None
+        assert counts["base"] == 1 and counts["appended"] >= 1 and counts["cold"] == 0
+    # A half-sum guess is reduced cold from its generators, the guesses before it warm.
+    for seed in range(5):
+        weights, _, S, M = half_sum_instance(16, 32, Random(seed))
+        counts.update(base=0, appended=0, cold=0)
+        assert lattice_attack(weights, S, M) is not None
+        assert counts == {"base": 1, "appended": sum(weights) // 2 // M, "cold": 1}
+
+
+def test_lattice_attack_clamps_max_wraps(monkeypatch):
+    # A guess m >= len(weights) makes the target exceed sum(weights): none is tried.
+    pub, _ = keygen(4, Random(4))
+    weights, var_map = expand_assp_to_ssp(pub)
+    assert len(weights) == 14
+    S = brute_force_target(pub)
+    expected = lattice_attack(weights, S, pub.M, assp_map=var_map)
+    guesses = []
+    appended = lattice.ReducedBasis.appended
+
+    def bounded(self, row):
+        guesses.append(row)
+        assert len(guesses) <= 14, "a guess m >= len(weights) was tried"
+        return appended(self, row)
+
+    monkeypatch.setattr(lattice.ReducedBasis, "appended", bounded)
+    t0 = time.perf_counter()
+    assert lattice_attack(weights, S, pub.M, assp_map=var_map, max_wraps=10**9) == expected
+    assert time.perf_counter() - t0 < 2
+    # Even weights, even modulus, odd target: no guess can succeed, so all are tried.
+    rng = Random(5)
+    weights = tuple(2 * rng.randint(1, 1 << 15) for _ in range(12))
+    guesses.clear()
+    assert lattice_attack(weights, 12345, 1 << 17, max_wraps=10**9) is None
+    assert len(guesses) == 12
 
 
 def test_lattice_attack_survives_a_half_sum_wrap_guess():

@@ -12,6 +12,7 @@ from juoan2 import (
     Ciphertext,
     DecodeError,
     decode_key,
+    decrypt_message,
     default_k_max,
     encrypt_message,
     gen_extra_superincreasing,
@@ -20,6 +21,7 @@ from juoan2 import (
 from juoan2.cryptanalysis import assp_density_from_bits
 from juoan2.decrypt import (
     GreedyStep,
+    audit_decrypt_block,
     _least_multiple_in,
     _shifted_targets,
     decompose_candidates,
@@ -241,3 +243,16 @@ def test_decompose_candidates_match_the_recursive_walk(case):
     assert list(decompose_candidates(seq, target)) == list(
         recursive_decompose_candidates(seq, target)
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 128), st.binary(max_size=40), st.integers(0, 2**32))
+def test_message_round_trip(half_n, message, seed):
+    rng = Random(seed)
+    pub, prv = keygen(2 * half_n, rng)
+    blocks = encrypt_message(pub, message, rng)
+    # Small keys have blocks with a second preimage that re-encrypts to the
+    # same sum (about 1 in 6 blocks at n = 4, none seen from n = 12 on);
+    # decryption may return that one, so only unambiguous messages must match.
+    if all(len(audit_decrypt_block(prv, ct, pub)) == 1 for ct in blocks):
+        assert decrypt_message(prv, blocks, pub) == message
