@@ -38,8 +38,8 @@ def classify(density: float) -> str:
 
 def ssp_density_from_bits(n: int, lg_max: float) -> DensityReport:
     """Plain subset-sum density n / lg(max weight)."""
-    if n < 1 or lg_max <= 0:
-        raise ParameterError("need n >= 1 and a positive bit size")
+    if n < 1 or not 0 < lg_max < math.inf:  # also rejects NaN
+        raise ParameterError("need n >= 1 and a positive finite bit size")
     d = n / lg_max
     return DensityReport(n, lg_max, d, classify(d))
 
@@ -54,8 +54,8 @@ def ssp_density(n: int, weights: Sequence[int]) -> DensityReport:
 
 def assp_density_from_bits(n: int, lg_m: float) -> DensityReport:
     """Anomalous-sum density lg(n!) / lg M, with the lg(n!)/(2n) floor reported."""
-    if n < 1 or lg_m <= 0:
-        raise ParameterError("need n >= 1 and a positive bit size")
+    if n < 1 or not 0 < lg_m < math.inf:  # also rejects NaN
+        raise ParameterError("need n >= 1 and a positive finite bit size")
     lg_fact = math.lgamma(n + 1) / math.log(2)  # lg(n!) in O(1), however large n is
     d = lg_fact / lg_m
     return DensityReport(n, lg_m, d, classify(d), lower_bound=lg_fact / (2 * n))

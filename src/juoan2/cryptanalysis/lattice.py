@@ -8,7 +8,9 @@ from typing import Sequence
 from ..encrypt import anomalous_sum as reencode_assp_sum  # the oracle-side name
 from ..errors import ParameterError
 from ..keygen import PublicKey
-from .lll import DEFAULT_DELTA, IntegerLattice, ReducedBasis, basis_from_generators, lll_reduce
+# basis_from_generators and lll_reduce are unused here, but kept: the benchmark's
+# traced run wraps them by name in this module.
+from .lll import DEFAULT_DELTA, IntegerLattice, ReducedBasis, basis_from_generators, lll_reduce  # noqa: F401
 
 # (position, power) per expanded bit-variable
 VarMap = tuple[tuple[int, int], ...]
@@ -154,29 +156,30 @@ def lattice_attack(
     algorithms", 1992).  Only its last row depends on m, so the weight rows
     are reduced once per call and each guess appends its target row to a
     copy of that reduction.  When 2*(S + m*M) == sum(weights) the target row
-    is half the sum of the weight rows; that guess's lattice is reduced from
-    its generators instead.  m is below len(weights) because each weight is
-    below M (a larger m makes the target exceed the sum of all weights), so
-    `max_wraps`, which caps the guesses, is clamped to len(weights) - 1, its
-    default.  Raises ParameterError when S is outside [0, M) or max_wraps is
-    negative.
+    is half the sum of the weight rows, so the last weight row is twice the
+    target row minus the others, and that guess reduces the same lattice
+    from the other weight rows and the target row.  m is below len(weights)
+    because each weight is below M (a larger m makes the target exceed the
+    sum of all weights), so `max_wraps`, which caps the guesses, is clamped
+    to len(weights) - 1, its default.  Raises ParameterError when S is
+    outside [0, M) or max_wraps is negative.
     """
     if not 0 <= S < M:
         raise ParameterError(f"target {S} outside [0, {M})")
     if max_wraps is not None and max_wraps < 0:
         raise ParameterError(f"max_wraps must be >= 0, got {max_wraps}")
-    rows, _ = _embedding_rows(weights, S)
+    rows, scale = _embedding_rows(weights, S)
+    weight_rows, ones = rows[:-1], rows[-1][:-1]
     ceiling = len(weights) - 1
     max_wraps = ceiling if max_wraps is None else min(max_wraps, ceiling)
-    base = ReducedBasis(rows[:-1], DEFAULT_DELTA)
+    base = ReducedBasis(weight_rows, DEFAULT_DELTA)
     total = sum(weights)
     for m in range(max_wraps + 1):
         T = S + m * M
+        target_row = ones + (scale * T,)
         if 2 * T == total:
-            generators = build_plain_ssp_lattice(weights, T)
-            reduced = lll_reduce(basis_from_generators(generators), DEFAULT_DELTA)
+            reduced = ReducedBasis(weight_rows[:-1] + [target_row], DEFAULT_DELTA).lattice
         else:
-            target_row = _embedding_rows(weights, T)[0][-1]
             reduced = base.appended(target_row).lattice
         x = _scan_reduced(reduced, weights, S, M, assp_map)
         if x is not None:

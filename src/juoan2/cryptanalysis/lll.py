@@ -1,11 +1,15 @@
 """Exact-arithmetic LLL lattice basis reduction and basis utilities.
 
-The reduction keeps Gram-Schmidt data as integers (Gram determinants d_i and
-scaled coefficients lambda_ij = mu_ij * d_j), so every comparison is exact;
-this is algebraically identical to rational Gram-Schmidt but avoids fraction
-normalization in the hot loop.  `ReducedBasis` keeps that data after a
-reduction, so a row can be appended to a reduced basis without reducing the
-rest again; `lll_reduce` is the one-shot form of the same reducer.
+Gram-Schmidt data is kept as integers (Gram determinants d_i and scaled
+coefficients lambda_ij = mu_ij * d_j; Cohen, "A Course in Computational
+Algebraic Number Theory", Alg. 2.6.7, after de Weger, 1987), so every
+comparison is exact; this is algebraically identical to rational
+Gram-Schmidt but avoids fraction normalization.  One function computes that
+data row by row: `ReducedBasis` keeps it after a reduction, so a row can be
+appended to a reduced basis without reducing the rest again, and the
+reducedness checks `is_size_reduced` and `lovasz_holds` read it directly.
+`lll_reduce` is the one-shot form of the reducer; `gram_schmidt` (rational)
+is the reference the tests compare these against.
 """
 
 from __future__ import annotations
@@ -42,7 +46,10 @@ class IntegerLattice:
 
 
 def gram_schmidt(rows: Sequence[Sequence[int]]) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
-    """Exact Gram-Schmidt; returns (orthogonal vectors, mu coefficients)."""
+    """Exact rational Gram-Schmidt; returns (orthogonal vectors, mu coefficients).
+
+    The reference for the integral data below, used by the tests.
+    """
     star: list[list[Fraction]] = []
     mu: list[list[Fraction]] = []
     for row in rows:
@@ -58,18 +65,61 @@ def gram_schmidt(rows: Sequence[Sequence[int]]) -> tuple[list[list[Fraction]], l
     return star, mu
 
 
+def _incorporate(row: Sequence[int], b: list[list[int]], d: list[int], lam: list[list[int]]) -> None:
+    """Append `row` to the rows b, extending their integral Gram-Schmidt data.
+
+    d[i] is the Gram determinant of the first i rows and lam[k][j] is
+    mu_kj * d[j+1] for j < k; both stay integers.  O(k^2) big-integer work
+    for a row joining k others.  Raises ParameterError, leaving b, d and lam
+    unchanged, if `row` has another length than b's rows or depends on them.
+    """
+    if b and len(row) != len(b[0]):
+        raise ParameterError("rows have unequal lengths")
+    k = len(b)
+    mu: list[int] = []
+    for j in range(k + 1):
+        other, lam_j = (b[j], lam[j]) if j < k else (row, mu)
+        u = sum(x * y for x, y in zip(row, other))
+        for i in range(j):
+            u = (d[i + 1] * u - mu[i] * lam_j[i]) // d[i]
+        if j < k:
+            mu.append(u)
+    if u == 0:
+        raise ParameterError(f"basis is rank deficient at row {k + 1}")
+    b.append(list(row))
+    d.append(u)
+    lam.append(mu)
+
+
+def _gram_data(rows: Iterable[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
+    """Integral Gram-Schmidt data (d, lam) of independent rows, as `_incorporate` defines it."""
+    b, d, lam = [], [1], []
+    for row in rows:
+        _incorporate(row, b, d, lam)
+    return d, lam
+
+
 def is_size_reduced(rows: Sequence[Sequence[int]]) -> bool:
-    _, mu = gram_schmidt(rows)
-    return all(abs(c) <= Fraction(1, 2) for coeffs in mu for c in coeffs)
+    """Whether every |mu_kj| <= 1/2, i.e. 2 * |lam_kj| <= d_{j+1}.
+
+    Raises ParameterError on dependent or zero rows: reducedness is defined
+    for bases only.
+    """
+    d, lam = _gram_data(rows)
+    return all(2 * abs(c) <= d[j + 1] for coeffs in lam for j, c in enumerate(coeffs))
 
 
 def lovasz_holds(rows: Sequence[Sequence[int]], delta: Fraction = DEFAULT_DELTA) -> bool:
-    star, mu = gram_schmidt(rows)
-    norms = [sum(x * x for x in v) for v in star]
-    for k in range(1, len(rows)):
-        if norms[k] < (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
-            return False
-    return True
+    """Whether |b*_k|^2 >= (delta - mu_{k,k-1}^2) |b*_{k-1}|^2 for every k.
+
+    With delta = p/q that is q (d_{k-1} d_{k+1} + lam_{k,k-1}^2) >= p d_k^2.
+    Raises ParameterError on dependent or zero rows: reducedness is defined
+    for bases only.
+    """
+    d, lam = _gram_data(rows)
+    p, q = delta.numerator, delta.denominator
+    return all(q * (d[k - 1] * d[k + 1] + lam[k][k - 1] ** 2) >= p * d[k] ** 2
+               for k in range(1, len(lam)))
 
 
 class ReducedBasis:
@@ -92,8 +142,7 @@ class ReducedBasis:
             raise ParameterError(f"delta must lie in (1/4, 1), got {delta}")
         self.delta = delta
         self._b: list[list[int]] = []
-        # d[i] = Gram determinant of the first i rows; lam[k][j] = mu_kj * d[j+1], j < k.
-        self._d = [1]
+        self._d = [1]  # integral Gram-Schmidt data, as `_incorporate` defines it
         self._lam: list[list[int]] = []
         for row in rows:
             self._push(row)
@@ -112,24 +161,8 @@ class ReducedBasis:
         return new
 
     def _push(self, row: Sequence[int]) -> None:
-        b, d, lam = self._b, self._d, self._lam
-        if b and len(row) != len(b[0]):
-            raise ParameterError("rows have unequal lengths")
-        k = len(b)
-        mu: list[int] = []
-        for j in range(k + 1):
-            other, lam_j = (b[j], lam[j]) if j < k else (row, mu)
-            u = sum(x * y for x, y in zip(row, other))
-            for i in range(j):
-                u = (d[i + 1] * u - mu[i] * lam_j[i]) // d[i]
-            if j < k:
-                mu.append(u)
-        if u == 0:
-            raise ParameterError(f"basis is rank deficient at row {k + 1}")
-        b.append(list(row))
-        d.append(u)
-        lam.append(mu)
-        if k:
+        _incorporate(row, self._b, self._d, self._lam)
+        if len(self._b) > 1:
             self._reduce_last()
 
     def _reduce_last(self) -> None:

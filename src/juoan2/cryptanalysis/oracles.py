@@ -7,7 +7,7 @@ from math import comb, gcd
 from random import Random
 from typing import Sequence
 
-from ..encrypt import BitBlock, anomalous_sum, compute_L, extend_block
+from ..encrypt import BitBlock, anomalous_sum, compute_L
 from ..errors import ParameterError
 from ..keygen import ExtraSuperincreasingSeq, PublicKey, first_violation, weighted_sum
 
@@ -112,20 +112,17 @@ def ciphertext_multiplicity(
     mode: str = "enumerate",
     trials: int = 10_000,
     rng: Random | None = None,
-    resample_padding: bool = False,
 ) -> int:
     """Count distinct ciphertexts of one block over the noise space.
 
     Enumerate mode walks all noise-inclusion patterns over zero positions
     with nonzero multiplicity (bounded at 2^20); sample mode draws random
-    noise vectors, optionally redrawing the block's padding bits too.
+    noise vectors.
     """
     n = pub.n_tilde
     if block.n_total != n:
         raise ParameterError(f"block length {block.n_total} does not match key n={n}")
     if mode == "enumerate":
-        if resample_padding:
-            raise ParameterError("enumerate mode fixes the padding")
         base, free, terms = _noise_terms(pub, block.bits)
         if len(free) > MAX_ENUM_BITS:
             raise ParameterError(f"{len(free)} free noise bits exceed the enumeration bound")
@@ -138,11 +135,8 @@ def ciphertext_multiplicity(
             raise ParameterError("sample mode needs an rng")
         seen = set()
         for _ in range(trials):
-            bits = block.bits
-            if resample_padding:
-                bits = extend_block(block.bits[: block.n_payload], rng).bits
             # one draw per zero bit, in position order
-            noise = [i + 1 for i in range(n) if not bits[i] and rng.randint(0, 1)]
-            seen.add(anomalous_sum(pub, bits, noise))
+            noise = [i + 1 for i in range(n) if not block.bits[i] and rng.randint(0, 1)]
+            seen.add(anomalous_sum(pub, block.bits, noise))
         return len(seen)
     raise ParameterError(f"unknown mode {mode!r}")

@@ -97,6 +97,15 @@ def test_density_subcommand(capsys):
     assert "LLL-vulnerable" in out
 
 
+@pytest.mark.parametrize("kind", ["--ssp", "--assp"])
+@pytest.mark.parametrize("lg", ["nan", "inf", "-inf"])
+def test_density_rejects_non_finite_bit_size(capsys, kind, lg):
+    code, out, err = run(capsys, "density", kind, "-n", "10", f"--lgM={lg}")
+    assert code == 1
+    assert out == ""
+    assert "finite bit size" in err and "Traceback" not in err
+
+
 def test_oracle_subcommand(tmp_path, capsys, ref_pub):
     pub_file = tmp_path / "ref.pub"
     pub_file.write_text(encode_key(ref_pub))

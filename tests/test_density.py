@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from juoan2 import ParameterError
 from juoan2.cryptanalysis import (
     assp_density,
     assp_density_from_bits,
@@ -49,3 +50,11 @@ def test_plain_density_from_weights():
 def test_plain_density_from_bits():
     assert ssp_density_from_bits(20, 40).density == pytest.approx(0.5)
     assert ssp_density_from_bits(20, 40).classification == "LLL-vulnerable"
+
+
+@pytest.mark.parametrize("lg", [math.nan, math.inf, -math.inf, 0, -1])
+def test_density_rejects_bad_bit_sizes(lg):
+    with pytest.raises(ParameterError, match="positive finite bit size"):
+        ssp_density_from_bits(10, lg)
+    with pytest.raises(ParameterError, match="positive finite bit size"):
+        assp_density_from_bits(10, lg)

@@ -28,7 +28,7 @@ def solve_many(basis_rows, vecs):
 
     Fraction-free (Bareiss) forward elimination on B^T keeps every
     intermediate an integer; only the O(n^2) back-substitution per vector
-    touches rationals.  Raises ZeroDivisionError on a singular basis.
+    touches rationals.  Raises StopIteration on a singular basis (no pivot).
     """
     n = len(basis_rows)
     width = n + len(vecs)
@@ -83,9 +83,27 @@ def random_basis(rng: Random, dim: int, bound: int) -> IntegerLattice:
         rows = tuple(
             tuple(rng.randint(-bound, bound) for _ in range(dim)) for _ in range(dim)
         )
-        star, _ = gram_schmidt(rows)
-        if all(any(x for x in v) for v in star):
-            return IntegerLattice(rows)
+        try:
+            solve_many(rows, [])  # exact rank check
+        except StopIteration:
+            continue
+        return IntegerLattice(rows)
+
+
+def reference_is_size_reduced(rows) -> bool:
+    """The rational size-reduction check that the integral one replaced."""
+    _, mu = gram_schmidt(rows)
+    return all(abs(c) <= Fraction(1, 2) for coeffs in mu for c in coeffs)
+
+
+def reference_lovasz_holds(rows, delta=DEFAULT_DELTA) -> bool:
+    """The rational Lovasz check that the integral one replaced."""
+    star, mu = gram_schmidt(rows)
+    norms = [sum(x * x for x in v) for v in star]
+    for k in range(1, len(rows)):
+        if norms[k] < (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+            return False
+    return True
 
 
 def reference_lll_reduce(basis: IntegerLattice, delta: Fraction = DEFAULT_DELTA) -> IntegerLattice:
@@ -310,3 +328,40 @@ def test_appended_leaves_the_base_untouched(instance):
     assert state(base) == before
     assert first == ReducedBasis(weight_rows).appended(target(T)).lattice
     assert second == ReducedBasis(weight_rows).appended(target(T + M)).lattice
+
+
+@st.composite
+def full_rank_bases(draw):
+    """Square full-rank bases with entries from tiny (ties likely) to 2^20."""
+    dim = draw(st.integers(1, 7))
+    bound = draw(st.sampled_from([1, 3, 50, 1 << 20]))
+    return random_basis(Random(draw(st.integers(0, 2**32))), dim, bound)
+
+
+@settings(max_examples=150, deadline=None)
+@given(full_rank_bases())
+def test_integral_checks_match_the_rational_reference(basis):
+    for rows in (
+        basis.rows,
+        lll_reduce(basis).rows,
+        lll_reduce(basis, Fraction(99, 100)).rows,
+    ):
+        assert is_size_reduced(rows) == reference_is_size_reduced(rows)
+        for delta in (DEFAULT_DELTA, Fraction(99, 100)):
+            assert lovasz_holds(rows, delta) == reference_lovasz_holds(rows, delta)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ((1, 2, 0), (0, 1, 1), (2, 5, 1)),  # dependent
+        ((3, 1), (3, 1)),  # duplicate
+        ((0, 0), (1, 0)),  # zero
+        ((1, 0), (0, 0)),
+    ],
+)
+def test_integral_checks_reject_dependent_rows(rows):
+    with pytest.raises(ParameterError, match="rank deficient"):
+        is_size_reduced(rows)
+    with pytest.raises(ParameterError, match="rank deficient"):
+        lovasz_holds(rows)

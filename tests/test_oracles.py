@@ -107,7 +107,3 @@ def test_multiplicity_argument_validation(ref_pub):
         ciphertext_multiplicity(ref_pub, BitBlock(REF_BITS, 8), mode="sample")
     with pytest.raises(ParameterError):
         ciphertext_multiplicity(ref_pub, BitBlock(REF_BITS, 8), mode="nope")
-    with pytest.raises(ParameterError):
-        ciphertext_multiplicity(
-            ref_pub, BitBlock(REF_BITS, 8), resample_padding=True
-        )
