@@ -12,7 +12,7 @@ from pathlib import Path
 from random import Random
 
 from .codec import decode_ciphertext, decode_key, encode_ciphertext, encode_key
-from .decrypt import decrypt_block, decrypt_message
+from .decrypt import _unframe, decrypt_block, decrypt_message
 from .encrypt import BitBlock, Ciphertext, NoiseVector, encrypt_block, encrypt_message
 from .errors import DecodeError, FramingError, InvalidCiphertextError, ParameterError
 from .keygen import (
@@ -48,6 +48,11 @@ _REF_INTERMEDIATE = 2283
 _REF_BRANCHES = ("one", "noise", "noise", "one", "skip", "one", "skip", "one")
 
 
+# Largest `keygen -n`: key generation costs about n^3 time (2.7 s at n=4000,
+# 20 s at 8000) and n^2 memory, so larger requests are refused up front.
+_MAX_KEYGEN_N = 4096
+
+
 def _rng_from_seed(seed: str | None) -> Random:
     return Random(int(seed, 16)) if seed is not None else Random()
 
@@ -62,6 +67,10 @@ def _load_key(path: str, want_private: bool):
 
 
 def _cmd_keygen(args: argparse.Namespace) -> int:
+    if args.n > _MAX_KEYGEN_N:
+        raise ParameterError(
+            f"-n {args.n} is above the ceiling of {_MAX_KEYGEN_N} payload bits per block"
+        )
     pub, prv = keygen(args.n, _rng_from_seed(args.seed))
     Path(args.out + ".pub").write_text(encode_key(pub))
     Path(args.out + ".prv").write_text(encode_key(prv))
@@ -79,6 +88,16 @@ def _cmd_encrypt(args: argparse.Namespace) -> int:
     return 0
 
 
+def _audited_blocks(prv: PrivateKey, blocks: list[Ciphertext], pub: PublicKey | None):
+    """Decrypt each block once, printing its trace to stderr as it goes."""
+    for idx, ct in enumerate(blocks):
+        block, trace = decrypt_block(prv, ct, pub)
+        branches = ",".join(s.branch for s in trace.steps)
+        print(f"block {idx}: k={trace.k} bits={''.join(map(str, block.bits))} "
+              f"branches={branches}", file=sys.stderr)
+        yield block
+
+
 def _cmd_decrypt(args: argparse.Namespace) -> int:
     prv = _load_key(args.prv, want_private=True)
     pub = _load_key(args.pub, want_private=False) if args.pub else None
@@ -87,12 +106,9 @@ def _cmd_decrypt(args: argparse.Namespace) -> int:
     except (DecodeError, FramingError) as exc:
         raise InvalidCiphertextError(str(exc)) from exc
     if args.audit:
-        for idx, ct in enumerate(blocks):
-            block, trace = decrypt_block(prv, ct, pub)
-            branches = ",".join(s.branch for s in trace.steps)
-            print(f"block {idx}: k={trace.k} bits={''.join(map(str, block.bits))} "
-                  f"branches={branches}", file=sys.stderr)
-    message = decrypt_message(prv, blocks, pub, n_payload)
+        message = _unframe(prv, _audited_blocks(prv, blocks, pub), n_payload)
+    else:
+        message = decrypt_message(prv, blocks, pub, n_payload)
     Path(args.out).write_bytes(message)
     print(f"decrypted {len(blocks)} blocks into {len(message)} bytes")
     return 0
@@ -172,7 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("keygen", help="generate a key pair")
-    p.add_argument("-n", type=int, required=True, help="payload bits per block (even, >= 4)")
+    p.add_argument("-n", type=int, required=True,
+                   help=f"payload bits per block (even, >= 4, <= {_MAX_KEYGEN_N})")
     p.add_argument("--seed", help="hex seed for deterministic generation")
     p.add_argument("-o", "--out", required=True, help="output base path (.pub/.prv)")
     p.set_defaults(func=_cmd_keygen)

@@ -11,13 +11,16 @@ but at realistic sizes it frequently closes at zero with the wrong bits, and
 wrong retry counts can close spuriously.  When the public key is supplied,
 decryption therefore walks the full decomposition tree in greedy order and
 accepts only candidates that re-encrypt to the original ciphertext; without
-it, the literal first-closure behavior is used.
+it, the literal first-closure behavior is used.  The walk tests each child
+against the capacity of the positions left below it before pushing it, so
+no dead branch reaches the stack, and it builds GreedySteps only for the
+candidates it yields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .encrypt import BitBlock, Ciphertext, anomalous_sum, bits_to_bytes
 from .errors import FramingError, InvalidCiphertextError, ParameterError
@@ -90,8 +93,10 @@ def decompose_candidates(
 
     Yields (bits, noise positions, steps) in greedy-preference order (set bit,
     then noise, then skip), so the first candidate coincides with the plain
-    greedy pass whenever that pass closes at zero.  Branches whose remaining
-    positions cannot absorb the residual are pruned via prefix capacity sums.
+    greedy pass whenever that pass closes at zero.  A child is pushed only if
+    it can still close: its residual is zero, or the remaining positions'
+    prefix capacity sums can absorb it.  Steps are built for yielded
+    candidates only.
     """
     if target < 0:
         raise ParameterError(f"target must be >= 0, got {target}")
@@ -107,35 +112,42 @@ def decompose_candidates(
         acc += x
         plain[i] = acc
         cap[i] = (cap[i - 1] if i else 0) + acc
+    if target > (cap[-1] if n else 0):
+        return
 
     # Depth-first with an explicit stack, children pushed in reverse branch
-    # order.  An entry (i, s, level, step) is reached by `step` at 0-based
-    # position i + 1; `steps` holds the path from position n - 1 down to it.
-    steps: list[GreedyStep] = []
-    stack: list[tuple[int, int, int, GreedyStep | None]] = [(n - 1, target, 0, None)]
+    # order.  An entry (i, s, level, branch) is reached by `branch` at 0-based
+    # position i + 1; `path` holds one (branch, residual) per position from
+    # n - 1 down to it, position p at index n - 1 - p.
+    path: list[tuple[str, int]] = []
+    stack: list[tuple[int, int, int, str | None]] = [(n - 1, target, 0, None)]
     while stack:
-        i, s, level, step = stack.pop()
-        if step is not None:
-            del steps[n - 2 - i :]
-            steps.append(step)
+        i, s, level, branch = stack.pop()
+        if branch is not None:
+            del path[n - 2 - i :]
+            path.append((branch, s))
         if s == 0:
-            path = steps[::-1]
+            steps = tuple(GreedyStep(n - d, b, r) for d, (b, r) in enumerate(path))
             yield (
-                (0,) * (i + 1) + tuple(1 if p.branch == BRANCH_ONE else 0 for p in path),
-                tuple(p.i for p in path if p.branch == BRANCH_NOISE),
-                tuple(steps),
+                (0,) * (i + 1) + tuple(1 if p.branch == BRANCH_ONE else 0 for p in reversed(steps)),
+                tuple(p.i for p in reversed(steps) if p.branch == BRANCH_NOISE),
+                steps,
             )
             continue
-        if i < 0 or s > level * plain[i] + cap[i]:
-            continue
         x = a[i]
-        stack.append((i - 1, s, level, GreedyStep(i + 1, BRANCH_SKIP, s)))
-        if level > 0 and s >= level * x:
-            r = s - level * x
-            stack.append((i - 1, r, level, GreedyStep(i + 1, BRANCH_NOISE, r)))
-        if s >= (level + 1) * x:
-            r = s - (level + 1) * x
-            stack.append((i - 1, r, level + 1, GreedyStep(i + 1, BRANCH_ONE, r)))
+        one = (level + 1) * x
+        if i:
+            room = level * plain[i - 1] + cap[i - 1]
+            if s <= room:
+                stack.append((i - 1, s, level, BRANCH_SKIP))
+            if level and s >= level * x and s - level * x <= room:
+                stack.append((i - 1, s - level * x, level, BRANCH_NOISE))
+            if s >= one and s - one <= room + plain[i - 1]:
+                stack.append((i - 1, s - one, level + 1, BRANCH_ONE))
+        elif s == one:  # position 0 ends the walk: only a closing child counts
+            stack.append((-1, 0, level + 1, BRANCH_ONE))
+        elif s == level * x:
+            stack.append((-1, 0, level, BRANCH_NOISE))
 
 
 def reencrypts_to(
@@ -256,20 +268,31 @@ def decrypt_message(
     n_payload: int | None = None,
 ) -> bytes:
     """Decrypt blocks, drop per-block padding, strip the 10* terminator."""
+
+    def blocks() -> Iterator[BitBlock]:
+        for idx, ct in enumerate(ciphertexts):
+            try:
+                block, _ = decrypt_block(prv, ct, pub)
+            except InvalidCiphertextError as exc:
+                raise InvalidCiphertextError(f"block {idx}: {exc}") from exc
+            yield block
+
+    return _unframe(prv, blocks(), n_payload)
+
+
+def _unframe(prv: PrivateKey, blocks: Iterable[BitBlock], n_payload: int | None) -> bytes:
+    """Join decrypted blocks into the message: check the framing width, drop
+    per-block padding, strip the 10* terminator.  `blocks` is consumed only
+    once the width check has passed."""
     n = prv.n_payload if n_payload is None else n_payload
     if n != prv.n_payload:
         raise FramingError(
             f"ciphertext framing says n={n} but the key was built for n={prv.n_payload}"
         )
-    if not ciphertexts:
+    decrypted = list(blocks)
+    if not decrypted:
         raise FramingError("empty ciphertext list")
-    payload_bits: list[int] = []
-    for idx, ct in enumerate(ciphertexts):
-        try:
-            block, _ = decrypt_block(prv, ct, pub)
-        except InvalidCiphertextError as exc:
-            raise InvalidCiphertextError(f"block {idx}: {exc}") from exc
-        payload_bits.extend(block.bits[:n])
+    payload_bits = [bit for block in decrypted for bit in block.bits[:n]]
     while payload_bits and payload_bits[-1] == 0:
         payload_bits.pop()
     if not payload_bits:

@@ -5,8 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from juoan2 import Ciphertext, decode_key, encode_ciphertext, encode_key
+import juoan2.cli
+import juoan2.decrypt
+from juoan2 import Ciphertext, decode_ciphertext, decode_key, encode_ciphertext, encode_key
 from juoan2.cli import main
+from juoan2.decrypt import decrypt_block
 from juoan2.cryptanalysis import expand_assp_to_ssp
 
 from conftest import REF_S
@@ -55,6 +58,53 @@ def test_decrypt_audit_prints_traces(tmp_path, capsys):
                        "--out", str(out), "--audit")
     assert code == 0
     assert "block 0: k=" in err
+
+
+def test_decrypt_audit_decrypts_each_block_once(tmp_path, capsys, monkeypatch):
+    base = str(tmp_path / "key")
+    msg = tmp_path / "m"
+    ct = tmp_path / "c"
+    out = tmp_path / "o"
+    message = b"eleven blocks at n=16"
+    msg.write_bytes(message)
+    run(capsys, "keygen", "-n", "16", "--seed", "ab", "-o", base)
+    run(capsys, "encrypt", "--pub", base + ".pub", "--in", str(msg),
+        "--out", str(ct), "--seed", "03")
+    prv = decode_key(Path(base + ".prv").read_text())
+    pub = decode_key(Path(base + ".pub").read_text())
+    blocks, _ = decode_ciphertext(ct.read_bytes())
+    assert len(blocks) > 1
+    want = []
+    for idx, ct_block in enumerate(blocks):
+        plain, trace = decrypt_block(prv, ct_block, pub)
+        want.append(f"block {idx}: k={trace.k} bits={''.join(map(str, plain.bits))} "
+                    f"branches={','.join(s.branch for s in trace.steps)}")
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return decrypt_block(*args)
+
+    monkeypatch.setattr(juoan2.cli, "decrypt_block", counted)
+    monkeypatch.setattr(juoan2.decrypt, "decrypt_block", counted)
+    code, _, err = run(capsys, "decrypt", "--prv", base + ".prv",
+                       "--pub", base + ".pub", "--in", str(ct),
+                       "--out", str(out), "--audit")
+    assert code == 0, err
+    assert out.read_bytes() == message
+    assert err.splitlines() == want
+    assert calls == blocks
+
+
+def test_keygen_rejects_n_above_the_ceiling_at_once(tmp_path, capsys):
+    base = tmp_path / "key"
+    start = time.perf_counter()
+    code, _, err = run(capsys, "keygen", "-n", "1000000000", "-o", str(base))
+    assert time.perf_counter() - start < 0.5
+    assert code == 1
+    assert "ceiling of 4096" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_seeded_runs_are_byte_identical(tmp_path, capsys):

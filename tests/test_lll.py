@@ -23,12 +23,12 @@ from juoan2.cryptanalysis import (
 )
 
 
-def solve_many(basis_rows, vecs):
-    """Exact coordinates of each vec in the row space of a square basis.
+def eliminate(basis_rows, vecs):
+    """Fraction-free (Bareiss) forward elimination of [B^T | vecs^T].
 
-    Fraction-free (Bareiss) forward elimination on B^T keeps every
-    intermediate an integer; only the O(n^2) back-substitution per vector
-    touches rationals.  Raises StopIteration on a singular basis (no pivot).
+    Every intermediate is an integer, and the last pivot is +-det of the
+    basis's leading square block.  Raises StopIteration on a singular basis
+    (no pivot).
     """
     n = len(basis_rows)
     width = n + len(vecs)
@@ -50,6 +50,17 @@ def solve_many(basis_rows, vecs):
                 row[c] = (row[c] * pivot - factor * top[c]) // prev
             row[k] = 0
         prev = pivot
+    return aug
+
+
+def solve_many(basis_rows, vecs):
+    """Exact coordinates of each vec in the row space of a square basis.
+
+    Bareiss elimination, then an O(n^2) rational back-substitution per
+    vector.  Raises StopIteration on a singular basis.
+    """
+    n = len(basis_rows)
+    aug = eliminate(basis_rows, vecs)
     out = []
     for t in range(len(vecs)):
         x = [Fraction(0)] * n
@@ -68,8 +79,35 @@ def solve_rational(basis_rows, vec):
 
 
 def is_unimodular_transform(original: IntegerLattice, reduced: IntegerLattice) -> bool:
-    """Every row of each basis has integer coordinates in the other, i.e.
-    the two bases generate the same lattice (transform determinant +-1)."""
+    """The two bases generate the same lattice (transform determinant +-1).
+
+    Integers only: the bases have equal |det|, and every reduced row has
+    integer coordinates in the original.  With D = +-det(original), the
+    vector D * x of a row's coordinates x is integral, so back-substitution
+    on the Bareiss echelon form divides exactly; x is integral iff D divides
+    each entry.  Equal |det| then makes the integral transform unimodular.
+    """
+    n = len(original.rows)
+    try:
+        aug = eliminate(original.rows, reduced.rows)
+        det = aug[-1][n - 1]
+        if abs(det) != abs(eliminate(reduced.rows, [])[-1][n - 1]):
+            return False
+    except StopIteration:
+        return False
+    for t in range(len(reduced.rows)):
+        y = [0] * n
+        for i in range(n - 1, -1, -1):
+            s = det * aug[i][n + t] - sum(aug[i][j] * y[j] for j in range(i + 1, n))
+            y[i] = s // aug[i][i]
+            if y[i] % det:
+                return False
+    return True
+
+
+def reference_is_unimodular_transform(original: IntegerLattice, reduced: IntegerLattice) -> bool:
+    """The rational check that the integral one replaced: every row of each
+    basis has integer coordinates in the other."""
     try:
         fwd = solve_many(original.rows, reduced.rows)
         back = solve_many(reduced.rows, original.rows)
@@ -84,7 +122,7 @@ def random_basis(rng: Random, dim: int, bound: int) -> IntegerLattice:
             tuple(rng.randint(-bound, bound) for _ in range(dim)) for _ in range(dim)
         )
         try:
-            solve_many(rows, [])  # exact rank check
+            eliminate(rows, [])  # exact rank check
         except StopIteration:
             continue
         return IntegerLattice(rows)
@@ -365,3 +403,58 @@ def test_integral_checks_reject_dependent_rows(rows):
         is_size_reduced(rows)
     with pytest.raises(ParameterError, match="rank deficient"):
         lovasz_holds(rows)
+
+
+def transform_pairs(basis):
+    """(original, other) lattice pairs around a basis, some related by a
+    unimodular transform and some not."""
+    rows = [list(r) for r in basis.rows]
+    reduced = [list(r) for r in lll_reduce(basis).rows]
+    doubled = [[2 * c for c in rows[0]]] + rows[1:]
+    pairs = [
+        (rows, reduced),
+        (reduced, rows),
+        (rows, doubled),  # det-2 transform
+        (rows, rows[-1:] + rows[:-1]),  # a permutation
+    ]
+    if len(rows) > 1:
+        sheared = [a - 3 * b for a, b in zip(rows[1], rows[0])]
+        halved = [rows[0], [2 * c for c in rows[1]]] + rows[2:]
+        pairs += [
+            (rows, [rows[0], sheared] + rows[2:]),  # unimodular
+            (rows, [rows[0], rows[0]] + rows[2:]),  # singular
+            ([rows[0], rows[0]] + rows[2:], reduced),
+            # equal |det|, but (2 b0, b1) has a half coordinate in (b0, 2 b1)
+            (halved, doubled),
+        ]
+    return [
+        (IntegerLattice(tuple(map(tuple, a))), IntegerLattice(tuple(map(tuple, b))))
+        for a, b in pairs
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(full_rank_bases())
+def test_unimodular_check_matches_the_rational_reference(basis):
+    for original, other in transform_pairs(basis):
+        want = reference_is_unimodular_transform(original, other)
+        assert is_unimodular_transform(original, other) == want
+
+
+def test_unimodular_check_verdicts_on_fixed_cases():
+    basis = IntegerLattice(((2, 1, 0), (0, 3, 1), (1, 0, 4)))
+    cases = {
+        ((2, 1, 0), (0, 3, 1), (3, 1, 4)): True,  # row 2 plus row 0
+        ((4, 2, 0), (0, 3, 1), (1, 0, 4)): False,  # det-2 transform
+        ((2, 1, 0), (0, 3, 1), (2, 1, 0)): False,  # singular
+    }
+    for rows, want in cases.items():
+        other = IntegerLattice(rows)
+        assert is_unimodular_transform(basis, other) is want
+        assert reference_is_unimodular_transform(basis, other) is want
+    singular = IntegerLattice(((1, 2), (2, 4)))
+    assert not is_unimodular_transform(singular, singular)
+    # equal |det| (4) yet (4, 0) has coordinates (2, 0) and (0, 1) has (0, 1/2)
+    assert not is_unimodular_transform(
+        IntegerLattice(((2, 0), (0, 2))), IntegerLattice(((4, 0), (0, 1)))
+    )

@@ -18,6 +18,7 @@ from juoan2 import (
     gen_extra_superincreasing,
     keygen,
 )
+from juoan2 import decrypt
 from juoan2.cryptanalysis import assp_density_from_bits
 from juoan2.decrypt import (
     GreedyStep,
@@ -243,6 +244,59 @@ def test_decompose_candidates_match_the_recursive_walk(case):
     assert list(decompose_candidates(seq, target)) == list(
         recursive_decompose_candidates(seq, target)
     )
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_decompose_candidates_match_the_recursive_walk_on_real_residues(n):
+    # The first (up to) three residues of the retry search on genuine
+    # ciphertexts; uniform residues under the budget, which is where a
+    # forged sum's residues land (a uniform forged sum at these sizes almost
+    # never has one); and unreduced anomalous sums of random patterns, which
+    # always decompose.  The recursion goes 3n/2 deep.
+    rng = Random(7000 + n)
+    for _ in range(8):
+        pub, prv = keygen(n, rng)
+        ct = encrypt_message(pub, rng.randbytes(3), rng)[0]
+        genuine = [t for _, t in _shifted_targets(prv, ct, default_k_max(prv.n_tilde))][:3]
+        assert genuine
+        m = prv.n_tilde
+        unreduced = PublicKey(prv.A.A, weighted_sum(prv.A.A) + 1, m)
+        forged = [rng.randint(0, weighted_sum(prv.A.A)) for _ in range(3)] + [
+            anomalous_sum(
+                unreduced,
+                [rng.randint(0, 1) for _ in range(m)],
+                rng.sample(range(1, m + 1), rng.randint(0, m)),
+            )
+            for _ in range(3)
+        ]
+        for t in genuine + forged:
+            assert list(decompose_candidates(prv.A, t)) == list(
+                recursive_decompose_candidates(prv.A, t)
+            )
+
+
+def test_decrypt_block_builds_steps_only_for_yielded_candidates(monkeypatch):
+    rng = Random(128)
+    pub, prv = keygen(128, rng)
+    ct = encrypt_message(pub, b"no step per node", rng)[0]
+    built = []
+    yielded = []
+    walk = decrypt.decompose_candidates
+
+    def counting_step(*args):
+        built.append(args)
+        return GreedyStep(*args)
+
+    def recording_walk(seq, target):
+        for candidate in walk(seq, target):
+            yielded.append(candidate)
+            yield candidate
+
+    monkeypatch.setattr(decrypt, "GreedyStep", counting_step)
+    monkeypatch.setattr(decrypt, "decompose_candidates", recording_walk)
+    _, trace = decrypt.decrypt_block(prv, ct, pub)
+    assert yielded and trace.steps == yielded[-1][2]
+    assert len(built) == sum(len(steps) for _, _, steps in yielded)
 
 
 @settings(max_examples=100, deadline=None)
