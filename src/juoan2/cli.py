@@ -12,7 +12,7 @@ from pathlib import Path
 from random import Random
 
 from .codec import decode_ciphertext, decode_key, encode_ciphertext, encode_key
-from .decrypt import _unframe, decrypt_block, decrypt_message
+from .decrypt import _check_framing_width, _unframe, decrypt_block, decrypt_message
 from .encrypt import BitBlock, Ciphertext, NoiseVector, encrypt_block, encrypt_message
 from .errors import DecodeError, FramingError, InvalidCiphertextError, ParameterError
 from .keygen import (
@@ -51,6 +51,13 @@ _REF_BRANCHES = ("one", "noise", "noise", "one", "skip", "one", "skip", "one")
 # Largest `keygen -n`: key generation costs about n^3 time (2.7 s at n=4000,
 # 20 s at 8000) and n^2 memory, so larger requests are refused up front.
 _MAX_KEYGEN_N = 4096
+
+# Largest expanded weight count `attack` takes on: 231 at n=32, 552 at n=64.
+# The weight-row reduction grows about as the count to the power 3.2 (3.2 s
+# at n=32, 50 s at n=64), and each of up to one wrap guess per weight appends a
+# row (0.05 s at n=32, 0.8 s at n=64): a block takes 16 s at n=32 and about
+# 8 minutes at n=64, so larger keys are refused up front.
+_MAX_ATTACK_WEIGHTS = 256
 
 
 def _rng_from_seed(seed: str | None) -> Random:
@@ -130,8 +137,14 @@ def _cmd_density(args: argparse.Namespace) -> int:
 
 def _cmd_attack(args: argparse.Namespace) -> int:
     pub = _load_key(args.pub, want_private=False)
-    blocks, _ = decode_ciphertext(Path(args.ct).read_bytes())
     weights, var_map = expand_assp_to_ssp(pub)
+    if len(weights) > _MAX_ATTACK_WEIGHTS:
+        raise ParameterError(
+            f"the key expands to {len(weights)} weights, above the attack's ceiling "
+            f"of {_MAX_ATTACK_WEIGHTS}"
+        )
+    blocks, n_payload = decode_ciphertext(Path(args.ct).read_bytes())
+    _check_framing_width(n_payload, pub.n_payload)
     any_hit = False
     for idx, ct in enumerate(blocks):
         x = lattice_attack(weights, ct.S, pub.M, assp_map=var_map, max_wraps=args.trials)
@@ -217,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lgM", type=float, required=True)
     p.set_defaults(func=_cmd_density)
 
-    p = sub.add_parser("attack", help="run the lattice attack on a ciphertext")
+    p = sub.add_parser("attack", help="run the lattice attack on a ciphertext (keys of at "
+                       f"most {_MAX_ATTACK_WEIGHTS} expanded weights, about n <= 34)")
     p.add_argument("--pub", required=True)
     p.add_argument("--ct", required=True)
     p.add_argument("--trials", type=int,

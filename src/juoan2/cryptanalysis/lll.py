@@ -8,8 +8,13 @@ Gram-Schmidt but avoids fraction normalization.  One function computes that
 data row by row: `ReducedBasis` keeps it after a reduction, so a row can be
 appended to a reduced basis without reducing the rest again, and the
 reducedness checks `is_size_reduced` and `lovasz_holds` read it directly.
-`lll_reduce` is the one-shot form of the reducer; `gram_schmidt` (rational)
-is the reference the tests compare these against.
+The reducer stores basis rows sparsely, as {column: nonzero entry}: the
+subset-sum bases of the attack stay mostly zero while they are reduced, so a
+row update or a dot product costs the nonzero entries of a row, not its
+width.  The integral arithmetic and its order are those of a dense reducer,
+so the reduced rows are the same.  `lll_reduce` is the one-shot form of the
+reducer; `gram_schmidt` (rational) is the reference the tests compare these
+against.
 """
 
 from __future__ import annotations
@@ -65,37 +70,44 @@ def gram_schmidt(rows: Sequence[Sequence[int]]) -> tuple[list[list[Fraction]], l
     return star, mu
 
 
-def _incorporate(row: Sequence[int], b: list[list[int]], d: list[int], lam: list[list[int]]) -> None:
+def _incorporate(row: Sequence[int], width: int, b: list[dict[int, int]], d: list[int],
+                 lam: list[list[int]]) -> None:
     """Append `row` to the rows b, extending their integral Gram-Schmidt data.
 
-    d[i] is the Gram determinant of the first i rows and lam[k][j] is
-    mu_kj * d[j+1] for j < k; both stay integers.  O(k^2) big-integer work
-    for a row joining k others.  Raises ParameterError, leaving b, d and lam
-    unchanged, if `row` has another length than b's rows or depends on them.
+    The rows b are stored sparsely, as {column: nonzero entry}; `row` is
+    dense.  d[i] is the Gram determinant of the first i rows and lam[k][j]
+    is mu_kj * d[j+1] for j < k; both stay integers.  Each dot product runs
+    over the support of a row of b, then O(k^2) big-integer work for a row
+    joining k others.  Raises ParameterError, leaving b, d and lam
+    unchanged, if `row` has another length than `width` or depends on b.
     """
-    if b and len(row) != len(b[0]):
+    if len(row) != width:
         raise ParameterError("rows have unequal lengths")
     k = len(b)
     mu: list[int] = []
     for j in range(k + 1):
-        other, lam_j = (b[j], lam[j]) if j < k else (row, mu)
-        u = sum(x * y for x, y in zip(row, other))
+        if j < k:
+            lam_j = lam[j]
+            u = sum(x * row[c] for c, x in b[j].items())
+        else:
+            lam_j = mu
+            u = sum(x * x for x in row)
         for i in range(j):
             u = (d[i + 1] * u - mu[i] * lam_j[i]) // d[i]
         if j < k:
             mu.append(u)
     if u == 0:
         raise ParameterError(f"basis is rank deficient at row {k + 1}")
-    b.append(list(row))
+    b.append({c: x for c, x in enumerate(row) if x})
     d.append(u)
     lam.append(mu)
 
 
-def _gram_data(rows: Iterable[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
+def _gram_data(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
     """Integral Gram-Schmidt data (d, lam) of independent rows, as `_incorporate` defines it."""
     b, d, lam = [], [1], []
     for row in rows:
-        _incorporate(row, b, d, lam)
+        _incorporate(row, len(rows[0]), b, d, lam)
     return d, lam
 
 
@@ -133,6 +145,11 @@ class ReducedBasis:
     to incorporate it, then the same loop from it, instead of an O(n^3)
     reduction from scratch.
 
+    Rows are stored sparsely, as {column: nonzero entry} dicts of one common
+    width, and size reduction updates them in place over the support of the
+    row subtracted; subset-sum bases stay mostly zero, so this skips most of
+    each dense row update.  `lattice` gives the rows back as dense tuples.
+
     Raises ParameterError on dependent rows, rows of unequal length, or
     delta outside (1/4, 1).
     """
@@ -141,7 +158,8 @@ class ReducedBasis:
         if not Fraction(1, 4) < delta < 1:
             raise ParameterError(f"delta must lie in (1/4, 1), got {delta}")
         self.delta = delta
-        self._b: list[list[int]] = []
+        self._width = 0  # the length of every row, set by the first
+        self._b: list[dict[int, int]] = []
         self._d = [1]  # integral Gram-Schmidt data, as `_incorporate` defines it
         self._lam: list[list[int]] = []
         for row in rows:
@@ -149,19 +167,32 @@ class ReducedBasis:
 
     @property
     def lattice(self) -> IntegerLattice:
-        return IntegerLattice(tuple(tuple(row) for row in self._b))
+        dense = []
+        for row in self._b:
+            out = [0] * self._width
+            for c, x in row.items():
+                out[c] = x
+            dense.append(tuple(out))
+        return IntegerLattice(tuple(dense))
 
     def appended(self, row: Sequence[int]) -> ReducedBasis:
-        """The reduction of these rows plus `row`, as a new object; self is unchanged."""
+        """The reduction of these rows plus `row`, as a new object; self is unchanged.
+
+        Every row dict is copied: the reduction updates rows in place, so a
+        shared one would change this basis under its kept data.
+        """
         new = ReducedBasis(delta=self.delta)
-        new._b = [list(r) for r in self._b]
+        new._width = self._width
+        new._b = [dict(r) for r in self._b]
         new._d = list(self._d)
         new._lam = [list(r) for r in self._lam]
         new._push(row)
         return new
 
     def _push(self, row: Sequence[int]) -> None:
-        _incorporate(row, self._b, self._d, self._lam)
+        if not self._b:
+            self._width = len(row)
+        _incorporate(row, self._width, self._b, self._d, self._lam)
         if len(self._b) > 1:
             self._reduce_last()
 
@@ -173,8 +204,14 @@ class ReducedBasis:
 
         def size_reduce(k: int, j: int) -> None:
             if 2 * abs(lam[k][j]) > d[j + 1]:
-                r = (2 * lam[k][j] + d[j + 1]) // (2 * d[j + 1])  # nearest integer
-                b[k] = [x - r * y for x, y in zip(b[k], b[j])]
+                r = (2 * lam[k][j] + d[j + 1]) // (2 * d[j + 1])  # nearest integer, not 0
+                bk = b[k]
+                for c, y in b[j].items():
+                    x = bk.get(c, 0) - r * y
+                    if x:
+                        bk[c] = x
+                    else:  # only an entry of b[k] can cancel, as r * y != 0
+                        del bk[c]
                 lam[k][j] -= r * d[j + 1]
                 for i in range(j):
                     lam[k][i] -= r * lam[j][i]

@@ -280,15 +280,20 @@ def decrypt_message(
     return _unframe(prv, blocks(), n_payload)
 
 
+def _check_framing_width(n_payload: int, key_n_payload: int) -> None:
+    """Raise FramingError unless a ciphertext's framing width is the key's."""
+    if n_payload != key_n_payload:
+        raise FramingError(
+            f"ciphertext framing says n={n_payload} but the key was built for n={key_n_payload}"
+        )
+
+
 def _unframe(prv: PrivateKey, blocks: Iterable[BitBlock], n_payload: int | None) -> bytes:
     """Join decrypted blocks into the message: check the framing width, drop
     per-block padding, strip the 10* terminator.  `blocks` is consumed only
     once the width check has passed."""
     n = prv.n_payload if n_payload is None else n_payload
-    if n != prv.n_payload:
-        raise FramingError(
-            f"ciphertext framing says n={n} but the key was built for n={prv.n_payload}"
-        )
+    _check_framing_width(n, prv.n_payload)
     decrypted = list(blocks)
     if not decrypted:
         raise FramingError("empty ciphertext list")

@@ -248,6 +248,46 @@ def test_attack_with_huge_trials_returns_promptly(tmp_path, capsys):
     assert "block 0:" in out
 
 
+
+def _key_and_ciphertext(tmp_path, capsys, n, tag):
+    base = str(tmp_path / f"key{tag}")
+    msg = tmp_path / f"m{tag}"
+    ct = tmp_path / f"c{tag}"
+    msg.write_bytes(b"a")
+    run(capsys, "keygen", "-n", str(n), "--seed", "07", "-o", base)
+    run(capsys, "encrypt", "--pub", base + ".pub", "--in", str(msg),
+        "--out", str(ct), "--seed", "03")
+    return base + ".pub", str(ct)
+
+
+@pytest.mark.parametrize("key_n, ct_n", [(4, 16), (16, 4)])
+def test_attack_rejects_a_ciphertext_framed_for_another_width(
+    tmp_path, capsys, monkeypatch, key_n, ct_n
+):
+    pub, _ = _key_and_ciphertext(tmp_path, capsys, key_n, "k")
+    _, ct = _key_and_ciphertext(tmp_path, capsys, ct_n, "c")
+    attacked = []
+    monkeypatch.setattr(juoan2.cli, "lattice_attack", lambda *a, **k: attacked.append(a))
+    code, out, err = run(capsys, "attack", "--pub", pub, "--ct", ct)
+    assert code == 1
+    assert f"ciphertext framing says n={ct_n} but the key was built for n={key_n}" in err
+    assert "block 0:" not in out
+    assert not attacked
+
+
+def test_attack_refuses_a_key_above_the_ceiling_at_once(tmp_path, capsys, monkeypatch):
+    pub, ct = _key_and_ciphertext(tmp_path, capsys, 128, "")
+    attacked = []
+    monkeypatch.setattr(juoan2.cli, "lattice_attack", lambda *a, **k: attacked.append(a))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "attack", "--pub", pub, "--ct", ct)
+    assert time.perf_counter() - start < 0.5
+    assert code == 1
+    assert "1289 weights" in err
+    assert f"ceiling of {juoan2.cli._MAX_ATTACK_WEIGHTS}" in err
+    assert "block 0:" not in out
+    assert not attacked
+
 def test_wrong_key_type_fails(tmp_path, capsys):
     base = str(tmp_path / "key")
     run(capsys, "keygen", "-n", "8", "--seed", "aa", "-o", base)

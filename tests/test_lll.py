@@ -8,19 +8,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from juoan2 import ParameterError
+from juoan2 import ParameterError, encrypt_message, keygen
 from juoan2.cryptanalysis import (
     DEFAULT_DELTA,
     IntegerLattice,
     ReducedBasis,
     basis_from_generators,
     build_plain_ssp_lattice,
+    expand_assp_to_ssp,
     gram_schmidt,
     is_size_reduced,
     lll_reduce,
     lovasz_holds,
     planted_ssp_instance,
 )
+from juoan2.cryptanalysis.lll import _gram_data
 
 
 def eliminate(basis_rows, vecs):
@@ -311,6 +313,19 @@ def test_rank_deficient_basis_raises_like_the_reference():
             reduce(basis)
 
 
+def test_appended_shares_no_row_with_its_base():
+    # Size reduction updates rows in place: a row shared with the base would
+    # change the base under its kept Gram-Schmidt data, and a later append
+    # from it need not terminate.  One append shows the sharing at once.
+    weights, _, S, _ = planted_ssp_instance(12, 24, Random(5))
+    rows = build_plain_ssp_lattice(weights, S).rows
+    base = ReducedBasis(rows[:-1])
+    before = base.lattice, list(base._d), [list(r) for r in base._lam]
+    warm = base.appended(rows[-1])
+    assert not {id(r) for r in base._b} & {id(r) for r in warm._b}
+    assert (base.lattice, base._d, base._lam) == before
+
+
 @st.composite
 def subset_sum_instances(draw):
     """(weights, T, M): T the exact sum of a planted subset, or uniform in [0, sum(w)]."""
@@ -458,3 +473,23 @@ def test_unimodular_check_verdicts_on_fixed_cases():
     assert not is_unimodular_transform(
         IntegerLattice(((2, 0), (0, 2))), IntegerLattice(((4, 0), (0, 1)))
     )
+
+
+@pytest.mark.parametrize("seed", [16, 61])
+def test_sparse_reducer_matches_the_reference_at_the_attack_size(seed):
+    # The ASSP attack's exact-sum lattice for a genuine n=16 key: 94 expanded
+    # weights, width 95, the target taken from a real ciphertext.  Reduced
+    # rows here are mostly zero, unlike the small dense bases above.
+    rng = Random(seed)
+    pub, _ = keygen(16, rng)
+    weights, _ = expand_assp_to_ssp(pub)
+    assert len(weights) == 94
+    T = encrypt_message(pub, b"sparse", rng)[0].S
+    assert 2 * T != sum(weights)
+    basis = build_plain_ssp_lattice(weights, T)
+    reduced = lll_reduce(basis)
+    assert reduced == reference_lll_reduce(basis)
+    warm = ReducedBasis(basis.rows[:-1]).appended(basis.rows[-1])
+    assert warm.lattice == reduced
+    assert _gram_data(reduced.rows) == (warm._d, warm._lam)
+
