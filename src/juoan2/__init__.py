@@ -3,7 +3,8 @@
 Key generation hides an extra superincreasing sequence behind a modular
 affine transform with a discarded lever injection; encryption randomizes
 each block with a noise vector; decryption scans a bounded counter, undoing
-the transform one -W step at a time until a greedy decomposition closes.
+the transform one -W step at a time until a decomposition of the residue
+re-encrypts to the ciphertext under the public key.
 
 The :mod:`juoan2.cryptanalysis` subpackage is the other side of the desk:
 density metrics, exact LLL reduction, subset-sum attack lattices, and
@@ -24,7 +25,6 @@ from .decrypt import (
     decrypt_block,
     decrypt_message,
     default_k_max,
-    greedy_decompose,
 )
 from .encrypt import (
     BitBlock,
@@ -88,7 +88,6 @@ __all__ = [
     "encrypt_message",
     "extend_block",
     "gen_extra_superincreasing",
-    "greedy_decompose",
     "keygen",
     "sample_noise",
     "validate_extra_superincreasing",

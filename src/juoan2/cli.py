@@ -95,7 +95,7 @@ def _cmd_encrypt(args: argparse.Namespace) -> int:
     return 0
 
 
-def _audited_blocks(prv: PrivateKey, blocks: list[Ciphertext], pub: PublicKey | None):
+def _audited_blocks(prv: PrivateKey, blocks: list[Ciphertext], pub: PublicKey):
     """Decrypt each block once, printing its trace to stderr as it goes."""
     for idx, ct in enumerate(blocks):
         block, trace = decrypt_block(prv, ct, pub)
@@ -107,7 +107,7 @@ def _audited_blocks(prv: PrivateKey, blocks: list[Ciphertext], pub: PublicKey | 
 
 def _cmd_decrypt(args: argparse.Namespace) -> int:
     prv = _load_key(args.prv, want_private=True)
-    pub = _load_key(args.pub, want_private=False) if args.pub else None
+    pub = _load_key(args.pub, want_private=False)
     try:
         blocks, n_payload = decode_ciphertext(Path(args.infile).read_bytes())
     except (DecodeError, FramingError) as exc:
@@ -170,8 +170,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_vectors(args: argparse.Namespace) -> int:
-    if args.vector != "appendix-a":
-        raise ParameterError(f"unknown vector set: {args.vector}")
     seq = ExtraSuperincreasingSeq(_REF_A)
     lever = LeverPermutation(_REF_LEVER)
     pub = derive_public(seq, _REF_W, _REF_DELTA, lever, _REF_M, n_payload=8)
@@ -218,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prv", required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--pub", help="public key; enables re-encryption verification")
+    p.add_argument("--pub", required=True,
+                   help="public key; every decrypted block must re-encrypt under it")
     p.add_argument("--audit", action="store_true", help="print per-block traces to stderr")
     p.set_defaults(func=_cmd_decrypt)
 

@@ -23,7 +23,6 @@ from .lattice import (
     expand_assp_to_ssp,
     kappa_from_assignment,
     lattice_attack,
-    reencode_assp_sum,
 )
 from .lll import (
     DEFAULT_DELTA,
@@ -67,7 +66,6 @@ __all__ = [
     "lll_reduce",
     "lovasz_holds",
     "planted_ssp_instance",
-    "reencode_assp_sum",
     "run_assp_attack_trial",
     "run_planted_ssp_trial",
     "search_alternative_keys",

@@ -36,11 +36,19 @@ def classify(density: float) -> str:
     return VULNERABLE
 
 
+def _as_float(n: int, lg: float) -> float:
+    """n as a float, once n >= 1 fits in one and lg is a positive finite bit size."""
+    if n < 1 or not 0 < lg < math.inf:  # also rejects NaN
+        raise ParameterError("need n >= 1 and a positive finite bit size")
+    try:
+        return float(n)
+    except OverflowError:
+        raise ParameterError(f"n of {n.bit_length()} bits is too large for a float") from None
+
+
 def ssp_density_from_bits(n: int, lg_max: float) -> DensityReport:
     """Plain subset-sum density n / lg(max weight)."""
-    if n < 1 or not 0 < lg_max < math.inf:  # also rejects NaN
-        raise ParameterError("need n >= 1 and a positive finite bit size")
-    d = n / lg_max
+    d = _as_float(n, lg_max) / lg_max
     return DensityReport(n, lg_max, d, classify(d))
 
 
@@ -54,9 +62,11 @@ def ssp_density(n: int, weights: Sequence[int]) -> DensityReport:
 
 def assp_density_from_bits(n: int, lg_m: float) -> DensityReport:
     """Anomalous-sum density lg(n!) / lg M, with the lg(n!)/(2n) floor reported."""
-    if n < 1 or not 0 < lg_m < math.inf:  # also rejects NaN
-        raise ParameterError("need n >= 1 and a positive finite bit size")
-    lg_fact = math.lgamma(n + 1) / math.log(2)  # lg(n!) in O(1), however large n is
+    x = _as_float(n, lg_m)
+    try:
+        lg_fact = math.lgamma(x + 1) / math.log(2)  # lg(n!) in O(1)
+    except OverflowError:
+        raise ParameterError(f"lg(n!) for n = {x:.3g} is too large for a float") from None
     d = lg_fact / lg_m
     return DensityReport(n, lg_m, d, classify(d), lower_bound=lg_fact / (2 * n))
 

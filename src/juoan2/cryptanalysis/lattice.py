@@ -5,7 +5,6 @@ from __future__ import annotations
 from math import isqrt
 from typing import Sequence
 
-from ..encrypt import anomalous_sum as reencode_assp_sum  # the oracle-side name
 from ..errors import ParameterError
 from ..keygen import PublicKey
 # basis_from_generators and lll_reduce are unused here, but kept: the benchmark's

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from itertools import combinations, permutations, product
 from math import comb, gcd
-from random import Random
 from typing import Sequence
 
 from ..encrypt import BitBlock, anomalous_sum, compute_L
@@ -106,37 +105,19 @@ def search_alternative_keys(
     return found
 
 
-def ciphertext_multiplicity(
-    pub: PublicKey,
-    block: BitBlock,
-    mode: str = "enumerate",
-    trials: int = 10_000,
-    rng: Random | None = None,
-) -> int:
+def ciphertext_multiplicity(pub: PublicKey, block: BitBlock) -> int:
     """Count distinct ciphertexts of one block over the noise space.
 
-    Enumerate mode walks all noise-inclusion patterns over zero positions
-    with nonzero multiplicity (bounded at 2^20); sample mode draws random
-    noise vectors.
+    Walks all noise-inclusion patterns over zero positions with nonzero
+    multiplicity, bounded at 2^MAX_ENUM_BITS patterns.
     """
     n = pub.n_tilde
     if block.n_total != n:
         raise ParameterError(f"block length {block.n_total} does not match key n={n}")
-    if mode == "enumerate":
-        base, free, terms = _noise_terms(pub, block.bits)
-        if len(free) > MAX_ENUM_BITS:
-            raise ParameterError(f"{len(free)} free noise bits exceed the enumeration bound")
-        sums = {base}
-        for term in terms:
-            sums |= {(s + term) % pub.M for s in sums}
-        return len(sums)
-    if mode == "sample":
-        if rng is None:
-            raise ParameterError("sample mode needs an rng")
-        seen = set()
-        for _ in range(trials):
-            # one draw per zero bit, in position order
-            noise = [i + 1 for i in range(n) if not block.bits[i] and rng.randint(0, 1)]
-            seen.add(anomalous_sum(pub, block.bits, noise))
-        return len(seen)
-    raise ParameterError(f"unknown mode {mode!r}")
+    base, free, terms = _noise_terms(pub, block.bits)
+    if len(free) > MAX_ENUM_BITS:
+        raise ParameterError(f"{len(free)} free noise bits exceed the enumeration bound")
+    sums = {base}
+    for term in terms:
+        sums |= {(s + term) % pub.M for s in sums}
+    return len(sums)

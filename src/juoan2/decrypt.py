@@ -1,20 +1,19 @@
-"""Decryption: unit stripping, the -W retry search, and greedy decomposition.
+"""Decryption: unit stripping, the -W retry search, and verified decomposition.
 
-Each retry adds -W to the unit-stripped residue and hands it to a greedy
-decomposition against the private sequence.  Only residues under the
-sequence's weighted sum can decompose, so the retry search jumps straight
-from one such residue to the next with a Euclid-style reduction on (-W, M):
-O(log M) big-integer operations per residue found, rather than one step per
-retry up to the n_tilde^2 (n_tilde + 1) ceiling.  The plain greedy pass
-(one subtraction choice per position) is what the scheme's algorithm states,
-but at realistic sizes it frequently closes at zero with the wrong bits, and
-wrong retry counts can close spuriously.  When the public key is supplied,
-decryption therefore walks the full decomposition tree in greedy order and
-accepts only candidates that re-encrypt to the original ciphertext; without
-it, the literal first-closure behavior is used.  The walk tests each child
-against the capacity of the positions left below it before pushing it, so
-no dead branch reaches the stack, and it builds GreedySteps only for the
-candidates it yields.
+Each retry adds -W to the unit-stripped residue and decomposes it against
+the private sequence.  Only residues under the sequence's weighted sum can
+decompose, so the retry search jumps straight from one such residue to the
+next with a Euclid-style reduction on (-W, M): O(log M) big-integer
+operations per residue found, rather than one step per retry up to the
+n_tilde^2 (n_tilde + 1) ceiling.  The scheme's own rule (take the first
+greedy pass that closes at zero) is unsound: at realistic sizes that pass
+closes with the wrong bits, or at a wrong retry count, far more often than
+not.  Decryption therefore needs the public key: it walks the full
+decomposition tree in greedy order and accepts only candidates that
+re-encrypt to the original ciphertext.  The walk tests each child against
+the capacity of the positions left below it before pushing it, so no dead
+branch reaches the stack, and it builds GreedySteps only for the candidates
+it yields.
 """
 
 from __future__ import annotations
@@ -40,50 +39,11 @@ class GreedyStep:
 
 @dataclass(frozen=True)
 class DecryptTrace:
-    """Record of the decomposition pass accepted (or last attempted) for a block."""
+    """Record of the verified decomposition accepted for a block."""
 
     k: int
     steps: tuple[GreedyStep, ...]
-    final_residual: int
     bits: tuple[int, ...]
-
-    @property
-    def success(self) -> bool:
-        return self.final_residual == 0 and any(self.bits)
-
-
-def greedy_decompose(
-    seq: ExtraSuperincreasingSeq, target: int
-) -> tuple[tuple[int, ...], tuple[GreedyStep, ...], int]:
-    """Single descending pass; returns (bits, steps, final residual).
-
-    At position i with multiplicity count L: a residual covering (L+1)*A_i
-    claims a set bit; one covering L*A_i (L > 0) sheds a noise term; anything
-    smaller is skipped.  Residual 0 ends the pass early.
-    """
-    if target < 0:
-        raise ParameterError(f"target must be >= 0, got {target}")
-    a = seq.A
-    n = len(a)
-    bits = [0] * n
-    steps = []
-    s = target
-    level = 0
-    for i in range(n - 1, -1, -1):
-        if s == 0:
-            break
-        if s >= (level + 1) * a[i]:
-            level += 1
-            s -= level * a[i]
-            bits[i] = 1
-            branch = BRANCH_ONE
-        elif level > 0 and s >= level * a[i]:
-            s -= level * a[i]
-            branch = BRANCH_NOISE
-        else:
-            branch = BRANCH_SKIP
-        steps.append(GreedyStep(i + 1, branch, s))
-    return tuple(bits), tuple(steps), s
 
 
 def decompose_candidates(
@@ -91,28 +51,24 @@ def decompose_candidates(
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], tuple[GreedyStep, ...]]]:
     """Enumerate every structurally valid decomposition of target.
 
-    Yields (bits, noise positions, steps) in greedy-preference order (set bit,
-    then noise, then skip), so the first candidate coincides with the plain
-    greedy pass whenever that pass closes at zero.  A child is pushed only if
-    it can still close: its residual is zero, or the remaining positions'
-    prefix capacity sums can absorb it.  Steps are built for yielded
-    candidates only.
+    Yields (bits, noise positions, steps) in greedy-preference order: at each
+    position a set bit, then a noise term, then a skip.  A child is pushed
+    only if it can still close: its residual is zero, or the positions below
+    it can absorb the residual.  Steps are built for yielded candidates only.
     """
     if target < 0:
         raise ParameterError(f"target must be >= 0, got {target}")
     a = seq.A
     n = len(a)
-    # plain[i] = sum of A_j for j <= i; cap[i] = sum of (i-j+1)*A_j for j <= i.
-    # With L ones already claimed, positions 0..i can absorb at most
+    # plain[i] = sum of A_j for j < i; cap[i] = sum of (i-j)*A_j for j < i.
+    # With L ones already claimed, the positions below i can absorb at most
     # L*plain[i] + cap[i].
-    plain = [0] * n
-    cap = [0] * n
-    acc = 0
+    plain = [0] * (n + 1)
+    cap = [0] * (n + 1)
     for i, x in enumerate(a):
-        acc += x
-        plain[i] = acc
-        cap[i] = (cap[i - 1] if i else 0) + acc
-    if target > (cap[-1] if n else 0):
+        plain[i + 1] = plain[i] + x
+        cap[i + 1] = cap[i] + plain[i + 1]
+    if target > cap[n]:
         return
 
     # Depth-first with an explicit stack, children pushed in reverse branch
@@ -136,18 +92,13 @@ def decompose_candidates(
             continue
         x = a[i]
         one = (level + 1) * x
-        if i:
-            room = level * plain[i - 1] + cap[i - 1]
-            if s <= room:
-                stack.append((i - 1, s, level, BRANCH_SKIP))
-            if level and s >= level * x and s - level * x <= room:
-                stack.append((i - 1, s - level * x, level, BRANCH_NOISE))
-            if s >= one and s - one <= room + plain[i - 1]:
-                stack.append((i - 1, s - one, level + 1, BRANCH_ONE))
-        elif s == one:  # position 0 ends the walk: only a closing child counts
-            stack.append((-1, 0, level + 1, BRANCH_ONE))
-        elif s == level * x:
-            stack.append((-1, 0, level, BRANCH_NOISE))
+        room = level * plain[i] + cap[i]
+        if s <= room:
+            stack.append((i - 1, s, level, BRANCH_SKIP))
+        if level and s >= level * x and s - level * x <= room:
+            stack.append((i - 1, s - level * x, level, BRANCH_NOISE))
+        if s >= one and s - one <= room + plain[i]:
+            stack.append((i - 1, s - one, level + 1, BRANCH_ONE))
 
 
 def reencrypts_to(
@@ -222,49 +173,35 @@ def _shifted_targets(prv: PrivateKey, ct: Ciphertext, k_max: int) -> Iterator[tu
         yield k, t
 
 
-def _scan(
-    prv: PrivateKey, ct: Ciphertext, k_max: int, pub: PublicKey | None
-) -> Iterator[DecryptTrace]:
-    """Yield successful decompositions for k = 1..k_max in order.
-
-    With a public key, every structurally valid decomposition is tried and
-    only re-encryption matches survive; without one, a closing greedy pass
-    with nonzero bits counts as success (the literal algorithm).
-    """
-    if pub is not None and (pub.M != prv.M or pub.n_tilde != prv.n_tilde):
+def _scan(prv: PrivateKey, ct: Ciphertext, k_max: int, pub: PublicKey) -> Iterator[DecryptTrace]:
+    """Yield the decompositions that re-encrypt to the ciphertext, for k = 1..k_max in order."""
+    if pub.M != prv.M or pub.n_tilde != prv.n_tilde:
         raise ParameterError("public key does not match the private key")
     for k, t in _shifted_targets(prv, ct, k_max):
-        if pub is None:
-            bits, steps, residual = greedy_decompose(prv.A, t)
-            if residual == 0 and any(bits):
-                yield DecryptTrace(k, steps, residual, bits)
-        else:
-            for bits, noise_positions, steps in decompose_candidates(prv.A, t):
-                if any(bits) and reencrypts_to(pub, bits, noise_positions, ct.S):
-                    yield DecryptTrace(k, steps, 0, bits)
+        for bits, noise_positions, steps in decompose_candidates(prv.A, t):
+            if any(bits) and reencrypts_to(pub, bits, noise_positions, ct.S):
+                yield DecryptTrace(k, steps, bits)
 
 
 def decrypt_block(
-    prv: PrivateKey, ct: Ciphertext, pub: PublicKey | None = None
+    prv: PrivateKey, ct: Ciphertext, pub: PublicKey
 ) -> tuple[BitBlock, DecryptTrace]:
-    """First-success scan; raises InvalidCiphertextError if no k terminates at zero."""
+    """First verified decomposition; raises InvalidCiphertextError if no k yields one."""
     k_max = default_k_max(prv.n_tilde)
     for trace in _scan(prv, ct, k_max, pub):
         return BitBlock(trace.bits, prv.n_payload), trace
     raise InvalidCiphertextError(f"no k <= {k_max} decomposes ciphertext {ct.S}")
 
 
-def audit_decrypt_block(
-    prv: PrivateKey, ct: Ciphertext, pub: PublicKey | None = None
-) -> list[DecryptTrace]:
-    """Enumerate every k whose scan succeeds (ambiguity measurement)."""
+def audit_decrypt_block(prv: PrivateKey, ct: Ciphertext, pub: PublicKey) -> list[DecryptTrace]:
+    """Enumerate every verified decomposition over all k (ambiguity measurement)."""
     return list(_scan(prv, ct, default_k_max(prv.n_tilde), pub))
 
 
 def decrypt_message(
     prv: PrivateKey,
     ciphertexts: Sequence[Ciphertext],
-    pub: PublicKey | None = None,
+    pub: PublicKey,
     n_payload: int | None = None,
 ) -> bytes:
     """Decrypt blocks, drop per-block padding, strip the 10* terminator."""

@@ -141,27 +141,20 @@ def gen_extra_superincreasing(n_tilde: int, rng: Random) -> ExtraSuperincreasing
     return ExtraSuperincreasingSeq(tuple(a))
 
 
-def select_modulus(seq: ExtraSuperincreasingSeq, rng: Random, bits: int | None = None) -> int:
-    """Sample M > weighted_sum(A) at an admissible bit length.
+def select_modulus(seq: ExtraSuperincreasingSeq, rng: Random) -> int:
+    """Sample M > weighted_sum(A) with ceil(lg M) = 2n, the top of the admissible window.
 
-    By default the bit length is drawn at random from the admissible window
-    [ceil(1.585 n), 2n].  Callers may pin `bits`; key generation pins the top
-    of the window because the window's floor (lg 3 per position) is exactly
-    the bit budget of the plaintext/noise pattern space, so a modulus near
-    the floor makes ciphertexts measurably ambiguous.
+    The window's floor, ceil(1.585 n), is exactly the bit budget of the
+    plaintext/noise pattern space, so a modulus near it would make
+    ciphertexts measurably ambiguous.  Raises SequenceTooLargeError when the
+    weighted sum needs more than 2n bits.
     """
     total = weighted_sum(seq.A)
-    lo_bits = min_modulus_bits(seq.n_tilde)
-    hi_bits = 2 * seq.n_tilde
-    first = max(lo_bits, total.bit_length())
-    if first > hi_bits:
+    bits = 2 * seq.n_tilde
+    if total.bit_length() > bits:
         raise SequenceTooLargeError(
-            f"weighted sum needs {total.bit_length()} bits, ceiling is {hi_bits}"
+            f"weighted sum needs {total.bit_length()} bits, ceiling is {bits}"
         )
-    if bits is None:
-        bits = rng.randint(first, hi_bits)
-    elif not first <= bits <= hi_bits:
-        raise ParameterError(f"bit length {bits} outside admissible [{first}, {hi_bits}]")
     low = max(total, 1 << (bits - 1))  # M in (low, 2^bits]
     return rng.randint(low + 1, 1 << bits)
 
@@ -212,7 +205,7 @@ def keygen(n_payload: int, rng: Random) -> tuple[PublicKey, PrivateKey]:
     while True:
         seq = gen_extra_superincreasing(n_tilde, rng)
         try:
-            M = select_modulus(seq, rng, bits=2 * n_tilde)
+            M = select_modulus(seq, rng)
         except SequenceTooLargeError:
             continue
         while True:

@@ -1,4 +1,7 @@
-"""Shared fixtures: the worked ntilde=8 reference key and its vectors."""
+"""Shared fixtures: the worked ntilde=8 reference key and its vectors, and a time limit."""
+
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -44,3 +47,23 @@ def ref_pub(ref_seq):
 @pytest.fixture(scope="session")
 def ref_prv(ref_seq):
     return PrivateKey(ref_seq, REF_NEG_W, REF_DELTA_INV, REF_M, n_payload=8)
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the enclosed code once it has run `seconds` of wall time.
+
+    Appends that reuse one ReducedBasis loop without end if a fault changes
+    the base under its kept Gram-Schmidt data; this makes that a failure.
+    """
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -97,6 +97,31 @@ def test_decrypt_audit_decrypts_each_block_once(tmp_path, capsys, monkeypatch):
     assert calls == blocks
 
 
+def test_decrypt_refuses_another_keys_public_key(tmp_path, capsys):
+    mine, theirs = str(tmp_path / "mine"), str(tmp_path / "theirs")
+    msg, ct, out = tmp_path / "m", tmp_path / "c", tmp_path / "o"
+    msg.write_bytes(b"hi")
+    run(capsys, "keygen", "-n", "8", "--seed", "aa", "-o", mine)
+    run(capsys, "keygen", "-n", "8", "--seed", "bb", "-o", theirs)
+    run(capsys, "encrypt", "--pub", mine + ".pub", "--in", str(msg),
+        "--out", str(ct), "--seed", "02")
+    code, _, err = run(capsys, "decrypt", "--prv", mine + ".prv", "--pub", theirs + ".pub",
+                       "--in", str(ct), "--out", str(out))
+    assert code == 1
+    assert "public key does not match the private key" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_decrypt_without_a_public_key_is_a_usage_error(tmp_path, capsys):
+    base = str(tmp_path / "key")
+    run(capsys, "keygen", "-n", "8", "--seed", "aa", "-o", base)
+    with pytest.raises(SystemExit) as exc:
+        main(["decrypt", "--prv", base + ".prv", "--in", str(tmp_path / "c"),
+              "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "--pub" in capsys.readouterr().err
+
+
 def test_keygen_rejects_n_above_the_ceiling_at_once(tmp_path, capsys):
     base = tmp_path / "key"
     start = time.perf_counter()
@@ -130,7 +155,7 @@ def test_decrypt_corrupted_ciphertext_fails_cleanly(tmp_path, capsys):
     run(capsys, "keygen", "-n", "8", "--seed", "aa", "-o", base)
     bad = tmp_path / "bad.ct"
     bad.write_bytes(b"\x00garbage")
-    code, _, err = run(capsys, "decrypt", "--prv", base + ".prv",
+    code, _, err = run(capsys, "decrypt", "--prv", base + ".prv", "--pub", base + ".pub",
                        "--in", str(bad), "--out", str(tmp_path / "x"))
     assert code == 1
     assert "invalid ciphertext" in err
@@ -154,6 +179,14 @@ def test_density_rejects_non_finite_bit_size(capsys, kind, lg):
     assert code == 1
     assert out == ""
     assert "finite bit size" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["--ssp", "--assp"])
+def test_density_rejects_an_n_too_large_for_a_float(capsys, kind):
+    code, out, err = run(capsys, "density", kind, "-n", "9" * 400, "--lgM", "20")
+    assert code == 1
+    assert out == ""
+    assert "too large for a float" in err and "Traceback" not in err
 
 
 def test_oracle_subcommand(tmp_path, capsys, ref_pub):

@@ -58,3 +58,16 @@ def test_density_rejects_bad_bit_sizes(lg):
         ssp_density_from_bits(10, lg)
     with pytest.raises(ParameterError, match="positive finite bit size"):
         assp_density_from_bits(10, lg)
+
+
+@pytest.mark.parametrize(
+    ("density", "n"),
+    [
+        (ssp_density_from_bits, 10**400),
+        (assp_density_from_bits, 10**400),
+        (assp_density_from_bits, 10**307),  # a float, but lg(n!) is not
+    ],
+)
+def test_density_rejects_an_n_too_large_for_a_float(density, n):
+    with pytest.raises(ParameterError, match="too large for a float"):
+        density(n, 20)

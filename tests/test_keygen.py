@@ -9,6 +9,7 @@ from juoan2 import (
     ExtraSuperincreasingSeq,
     LeverPermutation,
     ParameterError,
+    SequenceTooLargeError,
     derive_public,
     gen_extra_superincreasing,
     keygen,
@@ -82,11 +83,9 @@ def test_select_modulus_window():
     for seed in range(20):
         m = select_modulus(seq, Random(seed))
         assert m > weighted_sum(seq.A)
-        assert min_modulus_bits(8) <= ceil_lg(m) <= 16
-    pinned = select_modulus(seq, Random(0), bits=16)
-    assert ceil_lg(pinned) == 16
-    with pytest.raises(ParameterError):
-        select_modulus(seq, Random(0), bits=5)
+        assert ceil_lg(m) == 16
+    with pytest.raises(SequenceTooLargeError):  # weighted sum 102 needs 7 bits, ceiling 4
+        select_modulus(ExtraSuperincreasingSeq((1, 100)), Random(0))
 
 
 def test_sample_units_invertible():

@@ -17,13 +17,20 @@ from juoan2.cryptanalysis import (
     lattice_attack,
     lll_reduce,
     planted_ssp_instance,
-    reencode_assp_sum,
 )
 from juoan2.cryptanalysis.oracles import brute_force_assp
 
 from test_lll import solve_rational
 
-from conftest import REF_BITS, REF_S
+from conftest import time_limit
+
+
+@pytest.fixture(autouse=True)
+def bounded():
+    # lattice_attack appends every wrap guess to one ReducedBasis, and a fault
+    # that changes that base can make a later append run without end
+    with time_limit(10):
+        yield
 
 
 def lattice_contains(generators, vec) -> bool:
@@ -271,10 +278,6 @@ def test_lattice_attack_rejects_bad_input():
         lattice_attack((3, 4), 5, 7, max_wraps=-1)
     with pytest.raises(ParameterError):
         lattice_attack((), 0, 7)
-
-
-def test_reencode_assp_sum_matches_reference(ref_pub):
-    assert reencode_assp_sum(ref_pub, REF_BITS, (6, 7)) == REF_S
 
 
 def test_assp_attack_candidates_must_be_structurally_consistent():

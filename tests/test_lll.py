@@ -24,6 +24,8 @@ from juoan2.cryptanalysis import (
 )
 from juoan2.cryptanalysis.lll import _gram_data
 
+from conftest import time_limit
+
 
 def eliminate(basis_rows, vecs):
     """Fraction-free (Bareiss) forward elimination of [B^T | vecs^T].
@@ -365,22 +367,23 @@ def test_appended_leaves_the_base_untouched(instance):
     def state(basis):  # rows and integral Gram-Schmidt data, copied
         return basis.lattice, list(basis._d), [list(r) for r in basis._lam]
 
-    base = ReducedBasis(weight_rows)
-    before = state(base)
-    all_weights = [sum(col) for col in zip(*weight_rows)]
-    for dependent in (all_weights, weight_rows[0], [0] * len(all_weights)):
-        with pytest.raises(ParameterError, match="rank deficient"):
-            base.appended(dependent)
-    with pytest.raises(ParameterError, match="unequal"):
-        base.appended(target(T)[1:])
-    assert state(base) == before
-    # guesses m and m + 1 from one base give the rows of two fresh bases
-    first = base.appended(target(T)).lattice
-    assert state(base) == before  # a changed base could stall the next reduction
-    second = base.appended(target(T + M)).lattice
-    assert state(base) == before
-    assert first == ReducedBasis(weight_rows).appended(target(T)).lattice
-    assert second == ReducedBasis(weight_rows).appended(target(T + M)).lattice
+    with time_limit(10):  # a changed base can stall the next append for good
+        base = ReducedBasis(weight_rows)
+        before = state(base)
+        all_weights = [sum(col) for col in zip(*weight_rows)]
+        for dependent in (all_weights, weight_rows[0], [0] * len(all_weights)):
+            with pytest.raises(ParameterError, match="rank deficient"):
+                base.appended(dependent)
+        with pytest.raises(ParameterError, match="unequal"):
+            base.appended(target(T)[1:])
+        assert state(base) == before
+        # guesses m and m + 1 from one base give the rows of two fresh bases
+        first = base.appended(target(T)).lattice
+        assert state(base) == before
+        second = base.appended(target(T + M)).lattice
+        assert state(base) == before
+        assert first == ReducedBasis(weight_rows).appended(target(T)).lattice
+        assert second == ReducedBasis(weight_rows).appended(target(T + M)).lattice
 
 
 @st.composite

@@ -9,10 +9,9 @@ from juoan2.cryptanalysis import (
     brute_force_assp,
     check_property2,
     ciphertext_multiplicity,
-    reencode_assp_sum,
     search_alternative_keys,
 )
-from juoan2.encrypt import BitBlock, NoiseVector, encrypt_block
+from juoan2.encrypt import BitBlock, NoiseVector, anomalous_sum, encrypt_block
 from juoan2.keygen import LeverPermutation, PublicKey, derive_public
 
 from conftest import ALT_SEQ, REF_A, REF_BITS, REF_S
@@ -28,7 +27,7 @@ def test_reference_sum_has_unique_preimage(ref_pub):
 def test_every_oracle_hit_reencodes(ref_pub):
     for S in (0, 1, 607, 2034):
         for bits, noise in brute_force_assp(ref_pub, S):
-            assert reencode_assp_sum(ref_pub, bits, sorted(noise)) == S
+            assert anomalous_sum(ref_pub, bits, sorted(noise)) == S
 
 
 def test_oracle_agrees_with_encrypt_on_small_key():
@@ -92,18 +91,6 @@ def test_multiplicity_reference_counts(ref_pub):
     assert ciphertext_multiplicity(ref_pub, BitBlock((1,) * 8, 8)) == 1
 
 
-def test_multiplicity_sample_mode_converges(ref_pub):
-    exact = ciphertext_multiplicity(ref_pub, BitBlock(REF_BITS, 8))
-    sampled = ciphertext_multiplicity(
-        ref_pub, BitBlock(REF_BITS, 8), mode="sample", trials=2000, rng=Random(0)
-    )
-    assert sampled == exact
-
-
 def test_multiplicity_argument_validation(ref_pub):
     with pytest.raises(ParameterError):
         ciphertext_multiplicity(ref_pub, BitBlock((1, 0), 2))
-    with pytest.raises(ParameterError):
-        ciphertext_multiplicity(ref_pub, BitBlock(REF_BITS, 8), mode="sample")
-    with pytest.raises(ParameterError):
-        ciphertext_multiplicity(ref_pub, BitBlock(REF_BITS, 8), mode="nope")
