@@ -45,8 +45,6 @@ from .errors import (
     SequenceTooLargeError,
 )
 from .keygen import (
-    ExtraSuperincreasingSeq,
-    LeverPermutation,
     PrivateKey,
     PublicKey,
     derive_public,
@@ -64,11 +62,9 @@ __all__ = [
     "DecodeError",
     "DecryptTrace",
     "DegeneratePublicElementError",
-    "ExtraSuperincreasingSeq",
     "FramingError",
     "GreedyStep",
     "InvalidCiphertextError",
-    "LeverPermutation",
     "NoiseVector",
     "ParameterError",
     "PrivateKey",

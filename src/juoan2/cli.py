@@ -15,14 +15,7 @@ from .codec import decode_ciphertext, decode_key, encode_ciphertext, encode_key
 from .decrypt import _check_framing_width, _unframe, decrypt_block, decrypt_message
 from .encrypt import BitBlock, Ciphertext, NoiseVector, encrypt_block, encrypt_message
 from .errors import DecodeError, FramingError, InvalidCiphertextError, ParameterError
-from .keygen import (
-    ExtraSuperincreasingSeq,
-    LeverPermutation,
-    PrivateKey,
-    PublicKey,
-    derive_public,
-    keygen,
-)
+from .keygen import PrivateKey, PublicKey, derive_public, keygen
 from .cryptanalysis.density import assp_density_from_bits, ssp_density_from_bits
 from .cryptanalysis.lattice import (
     block_from_kappa,
@@ -170,10 +163,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_vectors(args: argparse.Namespace) -> int:
-    seq = ExtraSuperincreasingSeq(_REF_A)
-    lever = LeverPermutation(_REF_LEVER)
-    pub = derive_public(seq, _REF_W, _REF_DELTA, lever, _REF_M, n_payload=8)
-    prv = PrivateKey(seq, _REF_M - _REF_W, pow(_REF_DELTA, -1, _REF_M), _REF_M, 8)
+    pub = derive_public(_REF_A, _REF_W, _REF_DELTA, _REF_LEVER, _REF_M, n_payload=8)
+    prv = PrivateKey(_REF_A, _REF_M - _REF_W, pow(_REF_DELTA, -1, _REF_M), _REF_M, 8)
     checks = [("C", pub.C, _REF_C)]
     ct = encrypt_block(pub, BitBlock(_REF_BITS, 8), NoiseVector(_REF_NOISE))
     checks.append(("S", ct.S, _REF_S))

@@ -9,11 +9,11 @@ from typing import Sequence
 from .encrypt import Ciphertext
 from .errors import DecodeError
 from .keygen import (
-    ExtraSuperincreasingSeq,
     PrivateKey,
     PublicKey,
     ceil_lg,
     first_violation,
+    max_modulus_bits,
     min_modulus_bits,
     weighted_sum,
 )
@@ -25,7 +25,7 @@ _CT_VERSION = 1
 
 
 class BitRangeWarning(UserWarning):
-    """The modulus bit length falls below the generation-time floor."""
+    """The modulus bit length falls below the admissible window's floor, ceil(1.585 n)."""
 
 
 def _hex(x: int) -> str:
@@ -65,7 +65,7 @@ def encode_key(key: PublicKey | PrivateKey) -> str:
             f"n={key.n_tilde}",
             f"np={key.n_payload}",
             f"M={_hex(key.M)}",
-            "A=" + ",".join(_hex(a) for a in key.A.A),
+            "A=" + ",".join(_hex(a) for a in key.A),
             f"NW={_hex(key.neg_w)}",
             f"DI={_hex(key.delta_inv)}",
         ]
@@ -75,10 +75,17 @@ def encode_key(key: PublicKey | PrivateKey) -> str:
 
 
 def _check_bit_range(M: int, n_tilde: int) -> None:
+    """Reject ceil(lg M) above the admissible window; warn below its floor."""
+    bits = ceil_lg(M)
+    ceiling = max_modulus_bits(n_tilde)
+    if bits > ceiling:
+        raise DecodeError(
+            f"modulus with ceil(lg M) = {bits} is above the ceiling {ceiling} for n={n_tilde}"
+        )
     floor = min_modulus_bits(n_tilde)
-    if ceil_lg(M) < floor:
+    if bits < floor:
         warnings.warn(
-            f"modulus with ceil(lg M) = {ceil_lg(M)} is below the generation"
+            f"modulus with ceil(lg M) = {bits} is below the window's"
             f" floor {floor} for n={n_tilde}",
             BitRangeWarning,
             stacklevel=3,
@@ -88,8 +95,10 @@ def _check_bit_range(M: int, n_tilde: int) -> None:
 def decode_key(text: str) -> PublicKey | PrivateKey:
     """Inverse of encode_key, with invariant validation.
 
-    A modulus below the generation-time bit floor only warns, so hand-built
-    desk-scale keys still load.
+    A modulus above the admissible window (ceil(lg M) > 2n, where keygen
+    draws every modulus) is rejected, which bounds the work any later step
+    spends on one key.  A modulus below the window's floor only warns, so
+    hand-built desk-scale keys still load.
     """
     lines = text.splitlines()
     if not lines:
@@ -122,6 +131,7 @@ def decode_key(text: str) -> PublicKey | PrivateKey:
     M = _parse_hex(fields["M"], "M")
     if M < 3:
         raise DecodeError(f"modulus too small: {M}")
+    _check_bit_range(M, n_tilde)
 
     if magic == _PUBLIC_MAGIC:
         C = tuple(_parse_hex(x, "C") for x in fields["C"].split(","))
@@ -130,7 +140,6 @@ def decode_key(text: str) -> PublicKey | PrivateKey:
         for i, c in enumerate(C):
             if not 1 <= c <= M - 1:
                 raise DecodeError(f"public element {i + 1} out of range [1, M-1]: {c}")
-        _check_bit_range(M, n_tilde)
         return PublicKey(C, M, n_payload)
 
     A = tuple(_parse_hex(x, "A") for x in fields["A"].split(","))
@@ -146,8 +155,7 @@ def decode_key(text: str) -> PublicKey | PrivateKey:
     for what, v in (("NW", neg_w), ("DI", delta_inv)):
         if not 1 <= v <= M - 1:
             raise DecodeError(f"{what} out of range [1, M-1]: {v}")
-    _check_bit_range(M, n_tilde)
-    return PrivateKey(ExtraSuperincreasingSeq(A), neg_w, delta_inv, M, n_payload)
+    return PrivateKey(A, neg_w, delta_inv, M, n_payload)
 
 
 def encode_ciphertext(blocks: Sequence[Ciphertext], n_payload: int) -> bytes:

@@ -52,12 +52,11 @@ def ssp_density_from_bits(n: int, lg_max: float) -> DensityReport:
     return DensityReport(n, lg_max, d, classify(d))
 
 
-def ssp_density(n: int, weights: Sequence[int]) -> DensityReport:
-    if n < 1 or len(weights) != n:
-        raise ParameterError(f"need n >= 1 weights, got n={n}, {len(weights)} weights")
-    if any(w < 1 for w in weights):
-        raise ParameterError("weights must be positive")
-    return ssp_density_from_bits(n, math.log2(max(weights)))
+def ssp_density(weights: Sequence[int]) -> DensityReport:
+    """Plain subset-sum density of the weights themselves, n = len(weights)."""
+    if not weights or any(w < 1 for w in weights):
+        raise ParameterError("need at least one weight, all positive")
+    return ssp_density_from_bits(len(weights), math.log2(max(weights)))
 
 
 def assp_density_from_bits(n: int, lg_m: float) -> DensityReport:

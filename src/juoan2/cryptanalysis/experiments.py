@@ -51,7 +51,7 @@ def planted_ssp_instance(
 
 def run_planted_ssp_trial(n: int, bits: int, rng: Random) -> ExperimentRow:
     weights, _, S, M = planted_ssp_instance(n, bits, rng)
-    report = ssp_density(n, weights)
+    report = ssp_density(weights)
     start = time.perf_counter()
     recovered = lattice_attack(weights, S, M)
     elapsed = (time.perf_counter() - start) * 1000

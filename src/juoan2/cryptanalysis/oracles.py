@@ -8,7 +8,7 @@ from typing import Sequence
 
 from ..encrypt import BitBlock, anomalous_sum, compute_L
 from ..errors import ParameterError
-from ..keygen import ExtraSuperincreasingSeq, PublicKey, first_violation, weighted_sum
+from ..keygen import PublicKey, first_violation, weighted_sum
 
 MAX_BRUTE_N = 16
 MAX_ENUM_BITS = 20
@@ -25,41 +25,41 @@ def brute_force_assp(pub: PublicKey, S: int) -> list[tuple[tuple[int, ...], froz
         raise ParameterError(f"enumeration bounded at n={MAX_BRUTE_N}, got {n}")
     out = []
     for bits in product((0, 1), repeat=n):
-        base, free, terms = _noise_terms(pub, bits)
-        for mask in range(1 << len(free)):
-            total = base
-            m = mask
-            j = 0
-            while m:
-                if m & 1:
-                    total += terms[j]
-                m >>= 1
-                j += 1
-            if total % pub.M == S:
+        free, sums = _noise_sums(pub, bits)
+        for mask, total in enumerate(sums):
+            if total == S:
                 included = frozenset(free[j] for j in range(len(free)) if mask >> j & 1)
                 out.append((bits, included))
     return out
 
 
-def _noise_terms(pub: PublicKey, bits: Sequence[int]) -> tuple[int, list[int], list[int]]:
-    """Noise-free sum of a block, its free noise positions (1-based), and their terms.
+def _noise_sums(pub: PublicKey, bits: Sequence[int]) -> tuple[list[int], list[int]]:
+    """A block's free noise positions (1-based) and its sums mod M over every subset of them.
 
     A position is free when its bit is zero and its multiplicity L is nonzero;
-    including it adds L*C_i mod M to the sum.
+    including it adds L*C_i mod M to the sum.  Subset j, holding free[t]
+    exactly when bit t of j is set, has its sum at index j.  Raises past
+    2^MAX_ENUM_BITS subsets, before enumerating.
     """
     levels = compute_L(bits)
     free = [i + 1 for i in range(len(bits)) if not bits[i] and levels[i] > 0]
-    terms = [levels[p - 1] * pub.C[p - 1] % pub.M for p in free]
-    return anomalous_sum(pub, bits, ()), free, terms
+    if len(free) > MAX_ENUM_BITS:
+        raise ParameterError(f"{len(free)} free noise bits exceed the enumeration bound")
+    M = pub.M
+    sums = [anomalous_sum(pub, bits, ())]
+    for p in free:
+        term = levels[p - 1] * pub.C[p - 1]
+        sums += [(s + term) % M for s in sums]
+    return free, sums
 
 
-def check_property2(seq: ExtraSuperincreasingSeq, m: int, limit: int = 1 << 22) -> bool:
+def check_property2(seq: Sequence[int], m: int, limit: int = 1 << 22) -> bool:
     """Distinctness of weighted ordered-subset sums m*A_x1 + ... + 1*A_xm.
 
     m = 0 checks all subset sizes jointly (sums must be distinct across
     sizes too).  Raises if the enumeration would exceed `limit` sums.
     """
-    n = seq.n_tilde
+    n = len(seq)
     sizes = range(1, n + 1) if m == 0 else [m]
     if m < 0 or m > n:
         raise ParameterError(f"subset size {m} outside [0, {n}]")
@@ -67,7 +67,7 @@ def check_property2(seq: ExtraSuperincreasingSeq, m: int, limit: int = 1 << 22) 
         raise ParameterError("combinatorial bound exceeded")
     seen: set[int] = set()
     for size in sizes:
-        for subset in combinations(seq.A, size):
+        for subset in combinations(seq, size):
             total = sum((size - t) * a for t, a in enumerate(subset))
             if total in seen:
                 return False
@@ -114,10 +114,4 @@ def ciphertext_multiplicity(pub: PublicKey, block: BitBlock) -> int:
     n = pub.n_tilde
     if block.n_total != n:
         raise ParameterError(f"block length {block.n_total} does not match key n={n}")
-    base, free, terms = _noise_terms(pub, block.bits)
-    if len(free) > MAX_ENUM_BITS:
-        raise ParameterError(f"{len(free)} free noise bits exceed the enumeration bound")
-    sums = {base}
-    for term in terms:
-        sums |= {(s + term) % pub.M for s in sums}
-    return len(sums)
+    return len(set(_noise_sums(pub, block.bits)[1]))

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .encrypt import BitBlock, Ciphertext, anomalous_sum, bits_to_bytes
 from .errors import FramingError, InvalidCiphertextError, ParameterError
-from .keygen import ExtraSuperincreasingSeq, PrivateKey, PublicKey, weighted_sum
+from .keygen import PrivateKey, PublicKey, weighted_sum
 
 BRANCH_ONE = "one"
 BRANCH_NOISE = "noise"
@@ -47,9 +47,9 @@ class DecryptTrace:
 
 
 def decompose_candidates(
-    seq: ExtraSuperincreasingSeq, target: int
+    seq: Sequence[int], target: int
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], tuple[GreedyStep, ...]]]:
-    """Enumerate every structurally valid decomposition of target.
+    """Enumerate every structurally valid decomposition of target over seq.
 
     Yields (bits, noise positions, steps) in greedy-preference order: at each
     position a set bit, then a noise term, then a skip.  A child is pushed
@@ -58,14 +58,13 @@ def decompose_candidates(
     """
     if target < 0:
         raise ParameterError(f"target must be >= 0, got {target}")
-    a = seq.A
-    n = len(a)
+    n = len(seq)
     # plain[i] = sum of A_j for j < i; cap[i] = sum of (i-j)*A_j for j < i.
     # With L ones already claimed, the positions below i can absorb at most
     # L*plain[i] + cap[i].
     plain = [0] * (n + 1)
     cap = [0] * (n + 1)
-    for i, x in enumerate(a):
+    for i, x in enumerate(seq):
         plain[i + 1] = plain[i] + x
         cap[i + 1] = cap[i] + plain[i + 1]
     if target > cap[n]:
@@ -90,7 +89,7 @@ def decompose_candidates(
                 steps,
             )
             continue
-        x = a[i]
+        x = seq[i]
         one = (level + 1) * x
         room = level * plain[i] + cap[i]
         if s <= room:
@@ -156,7 +155,7 @@ def _shifted_targets(prv: PrivateKey, ct: Ciphertext, k_max: int) -> Iterator[tu
     if not 0 <= ct.S < prv.M:
         raise ParameterError(f"ciphertext {ct.S} outside [0, {prv.M})")
     M, neg_w = prv.M, prv.neg_w
-    budget = weighted_sum(prv.A.A)  # no decomposable target can exceed this
+    budget = weighted_sum(prv.A)  # no decomposable target can exceed this
     t = ct.S * prv.delta_inv % M
     k = 0
     while True:

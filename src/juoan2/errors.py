@@ -8,7 +8,7 @@ class ParameterError(ValueError):
 class SequenceTooLargeError(Exception):
     """The weighted sum of the sequence leaves no admissible modulus bit length.
 
-    Callers regenerate the sequence.
+    keygen's own sequences always fit; only a caller-supplied sequence raises this.
     """
 
 

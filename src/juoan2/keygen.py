@@ -15,29 +15,6 @@ _LG_RATIO_NUM = 317
 _LG_RATIO_DEN = 200
 
 
-
-@dataclass(frozen=True)
-class ExtraSuperincreasingSeq:
-    """Private sequence where each element dominates the weighted prefix sum."""
-
-    A: tuple[int, ...]
-
-    @property
-    def n_tilde(self) -> int:
-        return len(self.A)
-
-
-@dataclass(frozen=True)
-class LeverPermutation:
-    """Injection from positions 1..n into [1, 2n]; transient, never serialized."""
-
-    ell: tuple[int, ...]
-
-    @property
-    def n_tilde(self) -> int:
-        return len(self.ell)
-
-
 @dataclass(frozen=True)
 class PublicKey:
     C: tuple[int, ...]
@@ -51,7 +28,7 @@ class PublicKey:
 
 @dataclass(frozen=True)
 class PrivateKey:
-    A: ExtraSuperincreasingSeq
+    A: tuple[int, ...]  # the extra superincreasing sequence
     neg_w: int
     delta_inv: int
     M: int
@@ -59,7 +36,7 @@ class PrivateKey:
 
     @property
     def n_tilde(self) -> int:
-        return self.A.n_tilde
+        return len(self.A)
 
 
 def weighted_sum(seq: Sequence[int]) -> int:
@@ -78,6 +55,11 @@ def ceil_lg(m: int) -> int:
 def min_modulus_bits(n_tilde: int) -> int:
     """Smallest admissible ceil(lg M), i.e. ceil(1.585 * n_tilde)."""
     return -((-_LG_RATIO_NUM * n_tilde) // _LG_RATIO_DEN)
+
+
+def max_modulus_bits(n_tilde: int) -> int:
+    """Largest admissible ceil(lg M), 2 * n_tilde; keygen always draws this many."""
+    return 2 * n_tilde
 
 
 def first_violation(seq: Sequence[int]) -> int:
@@ -103,20 +85,19 @@ def validate_extra_superincreasing(seq: Sequence[int]) -> bool:
     return first_violation(seq) == 0
 
 
-def check_property1(seq: ExtraSuperincreasingSeq, k: int) -> bool:
+def check_property1(seq: Sequence[int], k: int) -> bool:
     """Check (k+1)*A_i > sum of (k+i-j)*A_j over j < i, for every i > 1."""
-    a = seq.A
     plain = 0  # sum of A_j, j < i
     weighted = 0  # sum of (i-j)*A_j, j < i
-    for i in range(1, len(a)):
-        weighted += plain + a[i - 1]
-        plain += a[i - 1]
-        if (k + 1) * a[i] <= k * plain + weighted:
+    for i in range(1, len(seq)):
+        weighted += plain + seq[i - 1]
+        plain += seq[i - 1]
+        if (k + 1) * seq[i] <= k * plain + weighted:
             return False
     return True
 
 
-def gen_extra_superincreasing(n_tilde: int, rng: Random) -> ExtraSuperincreasingSeq:
+def gen_extra_superincreasing(n_tilde: int, rng: Random) -> tuple[int, ...]:
     """Randomly generate a valid sequence.
 
     Each element lands uniformly in (bound, 2*bound] above its structural
@@ -126,7 +107,8 @@ def gen_extra_superincreasing(n_tilde: int, rng: Random) -> ExtraSuperincreasing
     space occupies, so targets rarely admit more than one decomposition.
     Minimal-growth sequences (weighted sums near 1.43 bits per position)
     would leave every shifted residue with exponentially many decompositions,
-    making decryption intractable.
+    making decryption intractable.  Even with every draw at its maximum the
+    weighted sum fits in 2*n_tilde bits for every n_tilde >= 4.
     """
     if n_tilde < 2:
         raise ParameterError(f"n_tilde must be >= 2, got {n_tilde}")
@@ -138,19 +120,19 @@ def gen_extra_superincreasing(n_tilde: int, rng: Random) -> ExtraSuperincreasing
         a.append(lower + rng.randint(1, lower))
         plain += a[-1]
         bound += plain
-    return ExtraSuperincreasingSeq(tuple(a))
+    return tuple(a)
 
 
-def select_modulus(seq: ExtraSuperincreasingSeq, rng: Random) -> int:
-    """Sample M > weighted_sum(A) with ceil(lg M) = 2n, the top of the admissible window.
+def select_modulus(seq: Sequence[int], rng: Random) -> int:
+    """Sample M > weighted_sum(seq) with ceil(lg M) = 2n, the top of the admissible window.
 
     The window's floor, ceil(1.585 n), is exactly the bit budget of the
     plaintext/noise pattern space, so a modulus near it would make
     ciphertexts measurably ambiguous.  Raises SequenceTooLargeError when the
     weighted sum needs more than 2n bits.
     """
-    total = weighted_sum(seq.A)
-    bits = 2 * seq.n_tilde
+    total = weighted_sum(seq)
+    bits = max_modulus_bits(len(seq))
     if total.bit_length() > bits:
         raise SequenceTooLargeError(
             f"weighted sum needs {total.bit_length()} bits, ceiling is {bits}"
@@ -171,48 +153,51 @@ def sample_units(M: int, rng: Random) -> tuple[int, int, int, int]:
     return w, delta, M - w, pow(delta, -1, M)
 
 
-def sample_lever(n_tilde: int, rng: Random) -> LeverPermutation:
-    """Uniform injection of positions 1..n_tilde into [1, 2*n_tilde]."""
+def sample_lever(n_tilde: int, rng: Random) -> tuple[int, ...]:
+    """Uniform injection ell of positions 1..n_tilde into [1, 2*n_tilde], as (ell(1), ...)."""
     if n_tilde < 1:
         raise ParameterError(f"n_tilde must be >= 1, got {n_tilde}")
-    return LeverPermutation(tuple(rng.sample(range(1, 2 * n_tilde + 1), n_tilde)))
+    return tuple(rng.sample(range(1, 2 * n_tilde + 1), n_tilde))
 
 
 def derive_public(
-    seq: ExtraSuperincreasingSeq,
+    seq: Sequence[int],
     w: int,
     delta: int,
-    lever: LeverPermutation,
+    lever: Sequence[int],
     M: int,
     n_payload: int,
 ) -> PublicKey:
-    """Compute C_i = (A_i + W * ell(i)) * delta mod M; every element must be nonzero."""
-    if seq.n_tilde != lever.n_tilde:
+    """Compute C_i = (A_i + W * ell(i)) * delta mod M; every element must be nonzero.
+
+    The lever is transient: keygen draws it, passes it here and drops it.
+    """
+    if len(seq) != len(lever):
         raise ParameterError("sequence and lever lengths differ")
     if gcd(delta, M) != 1:
         raise ParameterError("delta is not invertible mod M")
-    c = tuple((a + w * e) * delta % M for a, e in zip(seq.A, lever.ell))
+    c = tuple((a + w * e) * delta % M for a, e in zip(seq, lever))
     if any(x == 0 for x in c):
         raise DegeneratePublicElementError("public element hit zero; resample")
     return PublicKey(c, M, n_payload)
 
 
 def keygen(n_payload: int, rng: Random) -> tuple[PublicKey, PrivateKey]:
-    """Full pipeline with retries; the lever permutation never leaves this frame."""
+    """Full pipeline; units and lever are redrawn until no public element is zero.
+
+    The sequence always fits the modulus ceiling (n_tilde = 3*n_payload/2 >= 6),
+    so select_modulus never raises here.  The lever never leaves this frame.
+    """
     if n_payload < 4 or n_payload % 2:
         raise ParameterError(f"n_payload must be even and >= 4, got {n_payload}")
     n_tilde = 3 * n_payload // 2
+    seq = gen_extra_superincreasing(n_tilde, rng)
+    M = select_modulus(seq, rng)
     while True:
-        seq = gen_extra_superincreasing(n_tilde, rng)
+        w, delta, neg_w, delta_inv = sample_units(M, rng)
+        lever = sample_lever(n_tilde, rng)
         try:
-            M = select_modulus(seq, rng)
-        except SequenceTooLargeError:
+            pub = derive_public(seq, w, delta, lever, M, n_payload)
+        except DegeneratePublicElementError:
             continue
-        while True:
-            w, delta, neg_w, delta_inv = sample_units(M, rng)
-            lever = sample_lever(n_tilde, rng)
-            try:
-                pub = derive_public(seq, w, delta, lever, M, n_payload)
-            except DegeneratePublicElementError:
-                continue
-            return pub, PrivateKey(seq, neg_w, delta_inv, M, n_payload)
+        return pub, PrivateKey(seq, neg_w, delta_inv, M, n_payload)

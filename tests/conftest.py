@@ -5,12 +5,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from juoan2 import (
-    ExtraSuperincreasingSeq,
-    LeverPermutation,
-    PrivateKey,
-    derive_public,
-)
+from juoan2 import PrivateKey, derive_public
 
 REF_A = (2, 4, 11, 29, 76, 199, 523, 1368)
 REF_M = 3581
@@ -33,20 +28,13 @@ ALT_SEQ = (1, 3, 8, 21, 54, 139, 367, 960)
 
 
 @pytest.fixture(scope="session")
-def ref_seq() -> ExtraSuperincreasingSeq:
-    return ExtraSuperincreasingSeq(REF_A)
+def ref_pub():
+    return derive_public(REF_A, REF_W, REF_DELTA, REF_LEVER, REF_M, n_payload=8)
 
 
 @pytest.fixture(scope="session")
-def ref_pub(ref_seq):
-    return derive_public(
-        ref_seq, REF_W, REF_DELTA, LeverPermutation(REF_LEVER), REF_M, n_payload=8
-    )
-
-
-@pytest.fixture(scope="session")
-def ref_prv(ref_seq):
-    return PrivateKey(ref_seq, REF_NEG_W, REF_DELTA_INV, REF_M, n_payload=8)
+def ref_prv():
+    return PrivateKey(REF_A, REF_NEG_W, REF_DELTA_INV, REF_M, n_payload=8)
 
 
 @contextmanager

@@ -15,8 +15,6 @@ import pytest
 from juoan2 import (
     BitBlock,
     Ciphertext,
-    ExtraSuperincreasingSeq,
-    LeverPermutation,
     NoiseVector,
     PrivateKey,
     decrypt_block,
@@ -89,9 +87,8 @@ def report(number: int, name: str, ok: bool, started: float, detail: str = "") -
 
 def test_criterion_1_reference_pipeline():
     t0 = time.perf_counter()
-    seq = ExtraSuperincreasingSeq(REF_A)
-    pub = derive_public(seq, REF_W, REF_DELTA, LeverPermutation(REF_LEVER), REF_M, 8)
-    prv = PrivateKey(seq, REF_M - REF_W, pow(REF_DELTA, -1, REF_M), REF_M, 8)
+    pub = derive_public(REF_A, REF_W, REF_DELTA, REF_LEVER, REF_M, 8)
+    prv = PrivateKey(REF_A, REF_M - REF_W, pow(REF_DELTA, -1, REF_M), REF_M, 8)
     checks = [pub.C == REF_C]
     ct = encrypt_block(pub, BitBlock(REF_BITS, 8), NoiseVector(REF_NOISE))
     checks.append(ct.S == REF_S)
@@ -161,7 +158,7 @@ def test_criterion_4_property2_uniqueness():
         (tuple(raw), m)
         for raw in (ALT_SEQ, REF_A)
         for m in range(1, 9)
-        if not check_property2(ExtraSuperincreasingSeq(raw), m)
+        if not check_property2(raw, m)
     ]
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed < 60

@@ -7,7 +7,14 @@ import pytest
 
 import juoan2.cli
 import juoan2.decrypt
-from juoan2 import Ciphertext, decode_ciphertext, decode_key, encode_ciphertext, encode_key
+from juoan2 import (
+    Ciphertext,
+    PublicKey,
+    decode_ciphertext,
+    decode_key,
+    encode_ciphertext,
+    encode_key,
+)
 from juoan2.cli import main
 from juoan2.decrypt import decrypt_block
 from juoan2.cryptanalysis import expand_assp_to_ssp
@@ -320,6 +327,25 @@ def test_attack_refuses_a_key_above_the_ceiling_at_once(tmp_path, capsys, monkey
     assert f"ceiling of {juoan2.cli._MAX_ATTACK_WEIGHTS}" in err
     assert "block 0:" not in out
     assert not attacked
+
+
+def test_attack_refuses_a_modulus_above_the_window_at_once(tmp_path, capsys, monkeypatch):
+    # six weights, but an 8000-bit modulus: the attack would run for half a minute
+    pub = tmp_path / "wide.pub"
+    ct = tmp_path / "wide.ct"
+    M = (1 << 8000) - 1
+    pub.write_text(encode_key(PublicKey(tuple(M // k for k in range(2, 8)), M, 4)))
+    ct.write_bytes(encode_ciphertext([Ciphertext(M // 3)], 4))
+    attacked = []
+    monkeypatch.setattr(juoan2.cli, "lattice_attack", lambda *a, **k: attacked.append(a))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "attack", "--pub", str(pub), "--ct", str(ct))
+    assert time.perf_counter() - start < 0.5
+    assert code == 1
+    assert "above the ceiling 12" in err and "Traceback" not in err
+    assert "block 0:" not in out
+    assert not attacked
+
 
 def test_wrong_key_type_fails(tmp_path, capsys):
     base = str(tmp_path / "key")

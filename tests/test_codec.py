@@ -9,6 +9,7 @@ from juoan2 import (
     BitRangeWarning,
     Ciphertext,
     DecodeError,
+    PublicKey,
     decode_ciphertext,
     decode_key,
     encode_ciphertext,
@@ -38,7 +39,7 @@ def test_private_key_round_trip(pair):
 
 
 def test_reference_key_round_trip(ref_pub, ref_prv):
-    # The reference modulus sits below the generation-time bit floor, so
+    # The reference modulus sits below the window's bit floor, so
     # loading warns (see test_small_modulus_warns_but_loads) but round-trips.
     with pytest.warns(BitRangeWarning):
         assert decode_key(encode_key(ref_pub)) == ref_pub
@@ -71,10 +72,10 @@ def test_decode_rejects_tampered_keys(pair, mutate):
 def test_decode_rejects_broken_sequence(pair):
     _, prv = pair
     # Swap two sequence elements: no longer extra superincreasing.
-    a = list(prv.A.A)
+    a = list(prv.A)
     a[0], a[-1] = a[-1], a[0]
     text = encode_key(prv).replace(
-        "A=" + ",".join(format(x, "x") for x in prv.A.A),
+        "A=" + ",".join(format(x, "x") for x in prv.A),
         "A=" + ",".join(format(x, "x") for x in a),
     )
     with pytest.raises(DecodeError, match="extra superincreasing"):
@@ -89,11 +90,19 @@ def test_decode_rejects_out_of_range_element(pair):
 
 
 def test_small_modulus_warns_but_loads(ref_pub):
-    # The reference modulus (12 bits) sits below the 13-bit generation floor
+    # The reference modulus (12 bits) sits below the 13-bit window floor
     # for n=8; loading succeeds with a warning.
     with pytest.warns(BitRangeWarning):
         key = decode_key(encode_key(ref_pub))
     assert key == ref_pub
+
+
+def test_modulus_above_the_window_is_rejected():
+    # n = 6: keygen draws ceil(lg M) = 12, the top of the window
+    top = PublicKey((1, 2, 3, 4, 5, 6), 1 << 12, 4)
+    assert decode_key(encode_key(top)) == top
+    with pytest.raises(DecodeError, match="above the ceiling 12"):
+        decode_key(encode_key(PublicKey(top.C, top.M + 1, 4)))
 
 
 def test_generated_keys_load_silently(pair):

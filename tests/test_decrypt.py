@@ -7,7 +7,6 @@ import pytest
 
 from juoan2 import (
     Ciphertext,
-    ExtraSuperincreasingSeq,
     FramingError,
     InvalidCiphertextError,
     ParameterError,
@@ -182,7 +181,7 @@ def test_audit_lists_the_true_k_at_n128():
     # carries L_i * ell(i) multiples of W, and k is their total
     levels = compute_L(block.bits)
     true_k = sum(
-        levels[i] * lever.ell[i] for i in range(192) if block.bits[i] or noise.bits[i]
+        levels[i] * lever[i] for i in range(192) if block.bits[i] or noise.bits[i]
     )
     traces = audit_decrypt_block(prv, encrypt_block(pub, block, noise), pub)
     assert any(t.k == true_k and t.bits == block.bits for t in traces)

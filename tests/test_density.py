@@ -42,7 +42,7 @@ def test_classification_thresholds():
 
 def test_plain_density_from_weights():
     weights = [1 << 39, (1 << 40) - 1] + list(range(1, 19))
-    report = ssp_density(20, weights)
+    report = ssp_density(weights)
     assert report.density == pytest.approx(20 / math.log2((1 << 40) - 1))
     assert report.lower_bound is None
 

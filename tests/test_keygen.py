@@ -4,10 +4,9 @@ from random import Random
 
 import pytest
 
+import juoan2.cli
 from juoan2 import (
     DegeneratePublicElementError,
-    ExtraSuperincreasingSeq,
-    LeverPermutation,
     ParameterError,
     SequenceTooLargeError,
     derive_public,
@@ -18,6 +17,7 @@ from juoan2 import (
 from juoan2.keygen import (
     ceil_lg,
     check_property1,
+    max_modulus_bits,
     min_modulus_bits,
     sample_lever,
     sample_units,
@@ -68,24 +68,23 @@ def test_weighted_sum_reference():
 @pytest.mark.parametrize("n_tilde", [2, 3, 8, 24, 96])
 def test_generated_sequences_validate(n_tilde, seed):
     seq = gen_extra_superincreasing(n_tilde, Random(seed))
-    assert validate_extra_superincreasing(seq.A)
+    assert validate_extra_superincreasing(seq)
     assert check_property1(seq, k=n_tilde * n_tilde * (n_tilde + 1))
 
 
 def test_property1_reference_small_k():
-    seq = ExtraSuperincreasingSeq(REF_A)
     for k in (0, 1, 7, 115):
-        assert check_property1(seq, k)
+        assert check_property1(REF_A, k)
 
 
 def test_select_modulus_window():
     seq = gen_extra_superincreasing(8, Random(1))
     for seed in range(20):
         m = select_modulus(seq, Random(seed))
-        assert m > weighted_sum(seq.A)
+        assert m > weighted_sum(seq)
         assert ceil_lg(m) == 16
     with pytest.raises(SequenceTooLargeError):  # weighted sum 102 needs 7 bits, ceiling 4
-        select_modulus(ExtraSuperincreasingSeq((1, 100)), Random(0))
+        select_modulus((1, 100), Random(0))
 
 
 def test_sample_units_invertible():
@@ -98,8 +97,8 @@ def test_sample_units_invertible():
 def test_sample_lever_is_injection():
     for seed in range(20):
         lever = sample_lever(8, Random(seed))
-        assert len(set(lever.ell)) == 8
-        assert all(1 <= e <= 16 for e in lever.ell)
+        assert len(set(lever)) == 8
+        assert all(1 <= e <= 16 for e in lever)
 
 
 def test_derive_public_reference_vector(ref_pub):
@@ -109,18 +108,15 @@ def test_derive_public_reference_vector(ref_pub):
 
 def test_derive_public_rejects_zero_element():
     # A_1 + W * ell(1) = M makes C_1 = 0.
-    seq = ExtraSuperincreasingSeq(REF_A)
     w = (REF_M - REF_A[0])  # with lever value 1: (A_1 + W) % M == 0
-    lever = LeverPermutation((1, 2, 3, 4, 5, 6, 7, 8))
     with pytest.raises(DegeneratePublicElementError):
-        derive_public(seq, w, 1, lever, REF_M, 8)
+        derive_public(REF_A, w, 1, (1, 2, 3, 4, 5, 6, 7, 8), REF_M, 8)
 
 
 def test_derive_public_rejects_mismatched_lever():
     with pytest.raises(ParameterError):
         derive_public(
-            ExtraSuperincreasingSeq(REF_A), REF_W, REF_DELTA,
-            LeverPermutation(REF_LEVER[:4]), REF_M, 8,
+            REF_A, REF_W, REF_DELTA, REF_LEVER[:4], REF_M, 8,
         )
 
 
@@ -129,8 +125,8 @@ def test_keygen_produces_consistent_pair(n):
     pub, prv = keygen(n, Random(42))
     assert pub.n_tilde == prv.n_tilde == 3 * n // 2
     assert pub.M == prv.M
-    assert validate_extra_superincreasing(prv.A.A)
-    assert weighted_sum(prv.A.A) < prv.M
+    assert validate_extra_superincreasing(prv.A)
+    assert weighted_sum(prv.A) < prv.M
     assert all(0 < c < pub.M for c in pub.C)
     # The recorded units really invert the hidden transform domain.
     assert ceil_lg(pub.M) == 2 * pub.n_tilde
@@ -146,3 +142,20 @@ def test_keygen_deterministic_for_seed():
 def test_keygen_rejects_bad_sizes(bad_n):
     with pytest.raises(ParameterError):
         keygen(bad_n, Random(0))
+
+
+class TopDraws:
+    """A stub rng whose randint(a, b) always returns b: every draw at its maximum."""
+
+    def randint(self, a, b):
+        return b
+
+
+def test_largest_generated_sequence_fits_the_modulus_ceiling():
+    # keygen's n_tilde runs from 6 to 3/2 of the CLI's payload ceiling; only 2 and 3 overflow
+    for n_tilde in [*range(4, 301), 3 * juoan2.cli._MAX_KEYGEN_N // 2]:
+        seq = gen_extra_superincreasing(n_tilde, TopDraws())
+        assert select_modulus(seq, TopDraws()) == 1 << max_modulus_bits(n_tilde), n_tilde
+    for n_tilde in (2, 3):
+        with pytest.raises(SequenceTooLargeError):
+            select_modulus(gen_extra_superincreasing(n_tilde, TopDraws()), TopDraws())

@@ -95,7 +95,7 @@ def test_anomalous_sum_matches_encrypt_block(case):
 
 
 def test_long_private_key_is_rejected_in_linear_time():
-    a = gen_extra_superincreasing(3999, Random(4000)).A
+    a = gen_extra_superincreasing(3999, Random(4000))
     a += (weighted_sum(a),)  # the 4000th element equals its bound
     text = "\n".join([
         "JUOAN2 PRIVATE KEY v1",
@@ -153,7 +153,7 @@ def test_least_multiple_reflects_to_stay_logarithmic():
 
 def linear_shifted_targets(prv, ct, k_max):
     """The retry scan one offset at a time: the reference for the jump search."""
-    budget = weighted_sum(prv.A.A)
+    budget = weighted_sum(prv.A)
     t = ct.S * prv.delta_inv % prv.M
     for k in range(1, k_max + 1):
         t = (t + prv.neg_w) % prv.M
@@ -183,9 +183,8 @@ def test_shifted_targets_match_the_linear_scan(n, seed, genuine, data):
         )
 
 
-def recursive_decompose_candidates(seq, target):
+def recursive_decompose_candidates(a, target):
     """The recursive tree walk: the reference for the explicit-stack walk."""
-    a = seq.A
     n = len(a)
     plain = [0] * n
     cap = [0] * n
@@ -229,11 +228,11 @@ def sequences_and_targets(draw):
     n = draw(st.integers(2, 16))
     seq = gen_extra_superincreasing(n, Random(draw(st.integers(0, 2**32))))
     if draw(st.booleans()):
-        target = draw(st.integers(0, weighted_sum(seq.A)))
+        target = draw(st.integers(0, weighted_sum(seq)))
     else:  # an unreduced anomalous sum, which always decomposes
         bits = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
         noise = draw(st.lists(st.integers(1, n), max_size=n))
-        target = anomalous_sum(PublicKey(seq.A, weighted_sum(seq.A) + 1, n), bits, noise)
+        target = anomalous_sum(PublicKey(seq, weighted_sum(seq) + 1, n), bits, noise)
     return seq, target
 
 
@@ -260,8 +259,8 @@ def test_decompose_candidates_match_the_recursive_walk_on_real_residues(n):
         genuine = [t for _, t in _shifted_targets(prv, ct, default_k_max(prv.n_tilde))][:3]
         assert genuine
         m = prv.n_tilde
-        unreduced = PublicKey(prv.A.A, weighted_sum(prv.A.A) + 1, m)
-        forged = [rng.randint(0, weighted_sum(prv.A.A)) for _ in range(3)] + [
+        unreduced = PublicKey(prv.A, weighted_sum(prv.A) + 1, m)
+        forged = [rng.randint(0, weighted_sum(prv.A)) for _ in range(3)] + [
             anomalous_sum(
                 unreduced,
                 [rng.randint(0, 1) for _ in range(m)],
