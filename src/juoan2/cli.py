@@ -16,7 +16,7 @@ from .decrypt import _check_framing_width, _unframe, decrypt_block, decrypt_mess
 from .encrypt import BitBlock, Ciphertext, NoiseVector, encrypt_block, encrypt_message
 from .errors import DecodeError, FramingError, InvalidCiphertextError, ParameterError
 from .keygen import PrivateKey, PublicKey, derive_public, keygen
-from .cryptanalysis.density import assp_density_from_bits, ssp_density_from_bits
+from .cryptanalysis.density import ambiguity_estimate, assp_density_from_bits, ssp_density_from_bits
 from .cryptanalysis.lattice import (
     block_from_kappa,
     expand_assp_to_ssp,
@@ -46,10 +46,10 @@ _REF_BRANCHES = ("one", "noise", "noise", "one", "skip", "one", "skip", "one")
 _MAX_KEYGEN_N = 4096
 
 # Largest expanded weight count `attack` takes on: 231 at n=32, 552 at n=64.
-# The weight-row reduction grows about as the count to the power 3.2 (3.2 s
-# at n=32, 50 s at n=64), and each of up to one wrap guess per weight appends a
-# row (0.05 s at n=32, 0.8 s at n=64): a block takes 16 s at n=32 and about
-# 8 minutes at n=64, so larger keys are refused up front.
+# The weight-row reduction takes about 1 s at n=32 and 28 s at n=64, and each
+# of up to one wrap guess per weight appends a row (0.05 s at n=32, 0.7 s at
+# n=64): a block takes about 12 s at n=32 and about 7 minutes at n=64, so
+# larger keys are refused up front.
 _MAX_ATTACK_WEIGHTS = 256
 
 
@@ -75,7 +75,8 @@ def _cmd_keygen(args: argparse.Namespace) -> int:
     Path(args.out + ".pub").write_text(encode_key(pub))
     Path(args.out + ".prv").write_text(encode_key(prv))
     print(f"wrote {args.out}.pub and {args.out}.prv (n={args.n}, "
-          f"n_tilde={pub.n_tilde}, lgM={pub.M.bit_length()})")
+          f"n_tilde={pub.n_tilde}, lgM={pub.M.bit_length()}, "
+          f"ambiguous blocks ~{ambiguity_estimate(pub.n_tilde, pub.M):.2g})")
     return 0
 
 

@@ -2,6 +2,7 @@
 
 from .density import (
     DensityReport,
+    ambiguity_estimate,
     assp_density,
     assp_density_from_bits,
     classify,
@@ -48,6 +49,7 @@ __all__ = [
     "ExperimentRow",
     "IntegerLattice",
     "ReducedBasis",
+    "ambiguity_estimate",
     "assp_density",
     "assp_density_from_bits",
     "basis_from_generators",

@@ -74,3 +74,15 @@ def assp_density(n: int, M: int) -> DensityReport:
     if M < 2:
         raise ParameterError(f"modulus must be >= 2, got {M}")
     return assp_density_from_bits(n, math.log2(M))
+
+
+def ambiguity_estimate(n_tilde: int, M: int) -> float:
+    """Model chance that a block has a second preimage: (3^n_tilde - 1) / (2M).
+
+    Each position of a block is a set bit, a noise term or absent, so about
+    3^n_tilde blocks share M residues.  The figure underflows to 0.0 below
+    about 5e-324, from n_tilde of about 2590 at keygen's 2*n_tilde-bit modulus.
+    """
+    if n_tilde < 1 or M < 2:
+        raise ParameterError(f"need n_tilde >= 1 and M >= 2, got {n_tilde} and {M}")
+    return (3**n_tilde - 1) / (2 * M)

@@ -17,7 +17,7 @@ from juoan2 import (
 )
 from juoan2.cli import main
 from juoan2.decrypt import decrypt_block
-from juoan2.cryptanalysis import expand_assp_to_ssp
+from juoan2.cryptanalysis import ambiguity_estimate, expand_assp_to_ssp
 
 from conftest import REF_S
 
@@ -127,6 +127,16 @@ def test_decrypt_without_a_public_key_is_a_usage_error(tmp_path, capsys):
               "--out", str(tmp_path / "o")])
     assert exc.value.code == 2
     assert "--pub" in capsys.readouterr().err
+
+
+def test_keygen_prints_the_ambiguity_estimate(tmp_path, capsys):
+    base = str(tmp_path / "key")
+    code, out, _ = run(capsys, "keygen", "-n", "4", "--seed", "07", "-o", base)
+    assert code == 0
+    pub = decode_key(Path(base + ".pub").read_text())
+    estimate = ambiguity_estimate(pub.n_tilde, pub.M)
+    assert 0.05 < estimate < 0.5
+    assert f"ambiguous blocks ~{estimate:.2g})" in out
 
 
 def test_keygen_rejects_n_above_the_ceiling_at_once(tmp_path, capsys):

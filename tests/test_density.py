@@ -1,11 +1,20 @@
 """Density metrics and the attack-regime classification."""
 
 import math
+from random import Random
 
 import pytest
 
-from juoan2 import ParameterError
+from juoan2 import (
+    ParameterError,
+    audit_decrypt_block,
+    encrypt_block,
+    extend_block,
+    keygen,
+    sample_noise,
+)
 from juoan2.cryptanalysis import (
+    ambiguity_estimate,
     assp_density,
     assp_density_from_bits,
     classify,
@@ -71,3 +80,37 @@ def test_density_rejects_bad_bit_sizes(lg):
 def test_density_rejects_an_n_too_large_for_a_float(density, n):
     with pytest.raises(ParameterError, match="too large for a float"):
         density(n, 20)
+
+
+def test_ambiguity_estimate_formula():
+    assert ambiguity_estimate(6, 3000) == 728 / 6000
+    assert ambiguity_estimate(8, 3581) == (3**8 - 1) / (2 * 3581)
+    assert ambiguity_estimate(1, 2) == 0.5
+    # far below the smallest float at keygen's largest key: 0.0, no error
+    assert ambiguity_estimate(6144, 1 << 12288) == 0.0
+    for n_tilde, M in ((0, 3581), (8, 1), (-1, 3581)):
+        with pytest.raises(ParameterError):
+            ambiguity_estimate(n_tilde, M)
+
+
+def test_ambiguity_estimate_tracks_audited_blocks_at_n4():
+    # 20 keygen(4) keys (n_tilde = 6, a 12-bit modulus) and 30 genuine
+    # blocks each; a block is ambiguous when audit_decrypt_block finds more
+    # than one distinct plaintext.  Tolerance: the observed share lies within
+    # a factor 1.5 of the mean model figure (about 0.12; the binomial spread
+    # alone is about 0.014 over 600 blocks).
+    rng = Random(4)
+    ambiguous = blocks = 0
+    model = []
+    for _ in range(20):
+        pub, prv = keygen(4, rng)
+        model.append(ambiguity_estimate(pub.n_tilde, pub.M))
+        for _ in range(30):
+            block = extend_block([rng.randint(0, 1) for _ in range(4)], rng)
+            ct = encrypt_block(pub, block, sample_noise(block.n_total, rng))
+            preimages = {t.bits for t in audit_decrypt_block(prv, ct, pub)}
+            assert block.bits in preimages
+            ambiguous += len(preimages) > 1
+            blocks += 1
+    expected = sum(model) / len(model)
+    assert expected / 1.5 <= ambiguous / blocks <= expected * 1.5

@@ -88,9 +88,26 @@ def test_expand_assp_variable_count(ref_pub):
     # Position i contributes bit_length(n - i + 1) variables; for n = 8
     # that is 4+3+3+3+3+2+2+1 = 21.
     assert len(weights) == len(var_map) == 21
-    assert var_map[0] == (1, 0)
-    assert weights[1] == (ref_pub.C[0] << 1) % ref_pub.M
-    assert var_map[-1] == (8, 0)
+    # Positions run from n down to 1, powers ascend within a position.
+    assert var_map[0] == (8, 0)
+    assert var_map[-1] == (1, 3)
+    assert all(a[0] > b[0] or (a[0] == b[0] and b[1] == a[1] + 1)
+               for a, b in zip(var_map, var_map[1:]))
+    assert all(w == (ref_pub.C[i - 1] << t) % ref_pub.M for w, (i, t) in zip(weights, var_map))
+
+
+def test_decoding_ignores_the_expansion_order(ref_pub):
+    _, var_map = expand_assp_to_ssp(ref_pub)
+    rng = Random(11)
+    for _ in range(50):
+        x = tuple(rng.randint(0, 1) for _ in var_map)
+        kappa = kappa_from_assignment(x, var_map)
+        pairs = list(zip(x, var_map))
+        rng.shuffle(pairs)
+        shuffled_x, shuffled_map = zip(*pairs)
+        shuffled = kappa_from_assignment(shuffled_x, shuffled_map)
+        assert shuffled == kappa
+        assert block_from_kappa(shuffled, 8) == block_from_kappa(kappa, 8)
 
 
 def test_kappa_round_trip():
