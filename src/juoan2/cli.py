@@ -1,7 +1,8 @@
 """Command-line front end: key management, encryption, and the attack bench.
 
-Exit codes: 0 success, 1 operational failure (invalid ciphertext, attack
-failure, bad input files), 2 usage error.
+Exit codes: 0 success, 1 operational failure (invalid ciphertext, a block
+with two verified plaintexts under `decrypt --audit`, attack failure, bad
+input files, memory or recursion depth exhausted), 2 usage error.
 """
 
 from __future__ import annotations
@@ -12,7 +13,13 @@ from pathlib import Path
 from random import Random
 
 from .codec import decode_ciphertext, decode_key, encode_ciphertext, encode_key
-from .decrypt import _check_framing_width, _unframe, decrypt_block, decrypt_message
+from .decrypt import (
+    _check_framing_width,
+    _unframe,
+    audit_decrypt_block,
+    decrypt_block,
+    decrypt_message,
+)
 from .encrypt import BitBlock, Ciphertext, NoiseVector, encrypt_block, encrypt_message
 from .errors import DecodeError, FramingError, InvalidCiphertextError, ParameterError
 from .keygen import PrivateKey, PublicKey, derive_public, keygen
@@ -46,10 +53,10 @@ _REF_BRANCHES = ("one", "noise", "noise", "one", "skip", "one", "skip", "one")
 _MAX_KEYGEN_N = 4096
 
 # Largest expanded weight count `attack` takes on: 231 at n=32, 552 at n=64.
-# The weight-row reduction takes about 1 s at n=32 and 28 s at n=64, and each
-# of up to one wrap guess per weight appends a row (0.05 s at n=32, 0.7 s at
-# n=64): a block takes about 12 s at n=32 and about 7 minutes at n=64, so
-# larger keys are refused up front.
+# The weight-row reduction takes about 0.5 s at n=32 and 23 s at n=64, and
+# each of up to one wrap guess per weight appends a row (about 9 ms at n=32,
+# 0.2 s at n=64): a block takes about 3 s at n=32 and about 2 minutes at
+# n=64, and a message has many blocks, so larger keys are refused up front.
 _MAX_ATTACK_WEIGHTS = 256
 
 
@@ -89,13 +96,23 @@ def _cmd_encrypt(args: argparse.Namespace) -> int:
     return 0
 
 
-def _audited_blocks(prv: PrivateKey, blocks: list[Ciphertext], pub: PublicKey):
-    """Decrypt each block once, printing its trace to stderr as it goes."""
+def _audited_blocks(prv: PrivateKey, blocks: list[Ciphertext], pub: PublicKey,
+                    ambiguous: list[int]):
+    """Decrypt each block once, printing its trace to stderr as it goes.
+
+    Every verified plaintext of a block is listed too (`audit_decrypt_block`),
+    and the index of each block with more than one goes into `ambiguous`.
+    """
     for idx, ct in enumerate(blocks):
         block, trace = decrypt_block(prv, ct, pub)
         branches = ",".join(s.branch for s in trace.steps)
         print(f"block {idx}: k={trace.k} bits={''.join(map(str, block.bits))} "
               f"branches={branches}", file=sys.stderr)
+        others = sorted({t.bits for t in audit_decrypt_block(prv, ct, pub)} - {block.bits})
+        if others:
+            shown = ",".join("".join(map(str, bits)) for bits in others)
+            print(f"block {idx}: ambiguous, also verifies as bits={shown}", file=sys.stderr)
+            ambiguous.append(idx)
         yield block
 
 
@@ -107,7 +124,12 @@ def _cmd_decrypt(args: argparse.Namespace) -> int:
     except (DecodeError, FramingError) as exc:
         raise InvalidCiphertextError(str(exc)) from exc
     if args.audit:
-        message = _unframe(prv, _audited_blocks(prv, blocks, pub), n_payload)
+        ambiguous: list[int] = []
+        message = _unframe(prv, _audited_blocks(prv, blocks, pub, ambiguous), n_payload)
+        if ambiguous:
+            print(f"error: {len(ambiguous)} of {len(blocks)} blocks have more than one "
+                  f"verified plaintext; no output written", file=sys.stderr)
+            return 1
     else:
         message = decrypt_message(prv, blocks, pub, n_payload)
     Path(args.out).write_bytes(message)
@@ -210,7 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--pub", required=True,
                    help="public key; every decrypted block must re-encrypt under it")
-    p.add_argument("--audit", action="store_true", help="print per-block traces to stderr")
+    p.add_argument("--audit", action="store_true",
+                   help="print per-block traces to stderr; exit 1 and write nothing "
+                   "if a block has more than one verified plaintext")
     p.set_defaults(func=_cmd_decrypt)
 
     p = sub.add_parser("density", help="print a density report")
@@ -250,6 +274,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (MemoryError, RecursionError) as exc:  # a hostile input outgrew a limit
+        print(f"error: {type(exc).__name__}" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
 
 

@@ -67,8 +67,10 @@ def run_assp_attack_trial(
 
     `max_wraps` caps the wraparound guesses (default and ceiling: one per
     expanded weight), and each guess costs one row appended to the reduced
-    weight rows of the expanded exact-sum lattice; the expanded instance
-    sits far above density 1, so extra guesses buy nothing but wall time.
+    weight rows of the expanded exact-sum lattice: about 9 ms at n = 32
+    (231 weights) against a 0.5-s weight-row reduction, about 3 s for a
+    block with every guess.  The expanded instance sits far above density
+    1, so extra guesses buy nothing but wall time.
     """
     pub, _ = keygen(n_payload, rng)
     block = extend_block([rng.randint(0, 1) for _ in range(n_payload)], rng)

@@ -161,7 +161,11 @@ def lattice_attack(
     Odlyzko, Schnorr and Stern, "Improved low-density subset sum
     algorithms", 1992).  Only its last row depends on m, so the weight rows
     are reduced once per call and each guess appends its target row to a
-    copy of that reduction.  When 2*(S + m*M) == sum(weights) the target row
+    copy of that reduction.  The target rows differ only in the embedding
+    column, so `ReducedBasis` incorporates each in O(n) big-integer work
+    after the first, and each weight row, on a column of its own, in O(n)
+    too; what a guess costs is the LLL loop from its row, and copying the
+    base.  When 2*(S + m*M) == sum(weights) the target row
     is half the sum of the weight rows, so the last weight row is twice the
     target row minus the others, and that guess reduces the same lattice
     from the other weight rows and the target row.  m is below len(weights)

@@ -4,10 +4,14 @@ Gram-Schmidt data is kept as integers (Gram determinants d_i and scaled
 coefficients lambda_ij = mu_ij * d_j; Cohen, "A Course in Computational
 Algebraic Number Theory", Alg. 2.6.7, after de Weger, 1987), so every
 comparison is exact; this is algebraically identical to rational
-Gram-Schmidt but avoids fraction normalization.  One function computes that
-data row by row: `ReducedBasis` keeps it after a reduction, so a row can be
-appended to a reduced basis without reducing the rest again, and the
-reducedness checks `is_size_reduced` and `lovasz_holds` read it directly.
+Gram-Schmidt but avoids fraction normalization.  One recurrence computes that
+data row by row, in O(k^2) big-integer work for a row joining k others:
+`ReducedBasis` keeps it after a reduction, so a row can be appended to a
+reduced basis without reducing the rest again, and the reducedness checks
+`is_size_reduced` and `lovasz_holds` read it directly.  The coefficients are
+linear in the row, so `ReducedBasis` also keeps them for the unit vector of
+the last column, the subset-sum embedding column, and incorporates the
+weight and target rows of the attack lattices in O(k) from them.
 The reducer stores basis rows sparsely, as {column: nonzero entry}: the
 subset-sum bases of the attack stay mostly zero while they are reduced, so a
 row update or a dot product costs the nonzero entries of a row, not its
@@ -70,44 +74,54 @@ def gram_schmidt(rows: Sequence[Sequence[int]]) -> tuple[list[list[Fraction]], l
     return star, mu
 
 
-def _incorporate(row: Sequence[int], width: int, b: list[dict[int, int]], d: list[int],
-                 lam: list[list[int]]) -> None:
-    """Append `row` to the rows b, extending their integral Gram-Schmidt data.
+def _coefficients(row: Sequence[int], b: list[dict[int, int]], d: list[int],
+                  lam: list[list[int]]) -> list[int]:
+    """lambda_j(row) = d[j] * <row, b*_j> for every row b_j of b, by the general recurrence.
 
     The rows b are stored sparsely, as {column: nonzero entry}; `row` is
     dense.  d[i] is the Gram determinant of the first i rows and lam[k][j]
-    is mu_kj * d[j+1] for j < k; both stay integers.  Each dot product runs
-    over the support of a row of b, then O(k^2) big-integer work for a row
-    joining k others.  Raises ParameterError, leaving b, d and lam
-    unchanged, if `row` has another length than `width` or depends on b.
+    is lambda_j(b_k) = mu_kj * d[j+1] for j < k; both stay integers.  Each
+    dot product runs over the support of a row of b, then O(k^2) big-integer
+    work for k rows.  lambda_j is linear in `row`.
     """
-    if len(row) != width:
-        raise ParameterError("rows have unequal lengths")
-    k = len(b)
     mu: list[int] = []
-    for j in range(k + 1):
-        if j < k:
-            lam_j = lam[j]
-            u = sum(x * row[c] for c, x in b[j].items())
-        else:
-            lam_j = mu
-            u = sum(x * x for x in row)
+    for j, bj in enumerate(b):
+        lam_j = lam[j]
+        u = sum(x * row[c] for c, x in bj.items())
         for i in range(j):
             u = (d[i + 1] * u - mu[i] * lam_j[i]) // d[i]
-        if j < k:
-            mu.append(u)
+        mu.append(u)
+    return mu
+
+
+def _join(row: Sequence[int], mu: list[int], b: list[dict[int, int]], d: list[int],
+          lam: list[list[int]]) -> None:
+    """Append `row`, whose coefficients against b are `mu`, to the rows b.
+
+    Only its Gram determinant is left to compute: O(k) big-integer work.
+    Raises ParameterError, leaving b, d and lam unchanged, if `row`
+    depends on b.
+    """
+    u = sum(x * x for x in row)
+    for i, c in enumerate(mu):
+        u = (d[i + 1] * u - c * c) // d[i]
     if u == 0:
-        raise ParameterError(f"basis is rank deficient at row {k + 1}")
+        raise ParameterError(f"basis is rank deficient at row {len(b) + 1}")
     b.append({c: x for c, x in enumerate(row) if x})
     d.append(u)
     lam.append(mu)
 
 
 def _gram_data(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
-    """Integral Gram-Schmidt data (d, lam) of independent rows, as `_incorporate` defines it."""
+    """Integral Gram-Schmidt data (d, lam) of independent rows, by the general recurrence.
+
+    Raises ParameterError on rows of unequal length or dependent rows.
+    """
     b, d, lam = [], [1], []
     for row in rows:
-        _incorporate(row, len(rows[0]), b, d, lam)
+        if len(row) != len(rows[0]):
+            raise ParameterError("rows have unequal lengths")
+        _join(row, _coefficients(row, b, d, lam), b, d, lam)
     return d, lam
 
 
@@ -141,9 +155,26 @@ class ReducedBasis:
     before it (its Gram-Schmidt data computed against that prefix alone), and
     the LLL loop then runs from it until the whole basis is reduced again.
     Because the data outlives the reduction, `appended` reduces this basis
-    plus one more row at the cost of that row alone: O(n^2) big-integer work
-    to incorporate it, then the same loop from it, instead of an O(n^3)
-    reduction from scratch.
+    plus one more row at the cost of that row alone: incorporating it, then
+    the same loop from it, instead of an O(n^3) reduction from scratch.
+
+    Incorporating a row takes O(n^2) big-integer work in general, but O(n)
+    for the two shapes the subset-sum attack feeds in.  The coefficients
+    lambda_j(x) = d_j * <x, b*_j> are linear in x, and the basis keeps
+    lambda(e) current for e, the unit vector of its last column (the
+    embedding column): a join extends it by one coefficient and a swap
+    updates it like a row below the swapped pair.  A row x = r + a*e takes
+    lambda(x) = lambda(r) + a*lambda(e), where
+    - lambda(r) = 0 when r is zero on every used column, the union of the
+      supports of the rows given (a weight row (2e_i | s*w_i)); no
+      unimodular transform changes that union;
+    - `appended` computes lambda(r) by the general recurrence and keeps it
+      for the last r it met, so the rows that differ only in the last
+      column (every wrap guess's target row (1, ..., 1 | s*T)) pay for it
+      once per base.
+    Every other row given to the constructor takes the general recurrence.
+    Every path gives the same integers, so the reduction is the same
+    whichever path a row took.
 
     Rows are stored sparsely, as {column: nonzero entry} dicts of one common
     width, and size reduction updates them in place over the support of the
@@ -160,8 +191,11 @@ class ReducedBasis:
         self.delta = delta
         self._width = 0  # the length of every row, set by the first
         self._b: list[dict[int, int]] = []
-        self._d = [1]  # integral Gram-Schmidt data, as `_incorporate` defines it
+        self._d = [1]  # integral Gram-Schmidt data, as `_coefficients` defines it
         self._lam: list[list[int]] = []
+        self._probe: list[int] = []  # lambda_j(e) for e the unit vector of the last column
+        self._used: frozenset[int] = frozenset()  # the union of the rows' supports
+        self._shared: tuple[tuple[int, ...], list[int]] | None = None  # see `appended`
         for row in rows:
             self._push(row)
 
@@ -179,26 +213,56 @@ class ReducedBasis:
         """The reduction of these rows plus `row`, as a new object; self is unchanged.
 
         Every row dict is copied: the reduction updates rows in place, so a
-        shared one would change this basis under its kept data.
+        shared one would change this basis under its kept data.  This basis
+        keeps lambda of the last `row` it was given with its last entry set
+        to 0, so a row that differs from that one only in its last entry
+        costs O(n) to incorporate.
         """
+        head = None
+        if len(row) == self._width:  # else `_push` raises
+            key = tuple(row[:-1])
+            if self._shared is None or self._shared[0] != key:
+                self._shared = (key, _coefficients(key + (0,), self._b, self._d, self._lam))
+            head = self._shared[1]
         new = ReducedBasis(delta=self.delta)
         new._width = self._width
         new._b = [dict(r) for r in self._b]
         new._d = list(self._d)
         new._lam = [list(r) for r in self._lam]
-        new._push(row)
+        new._probe = list(self._probe)
+        new._used = self._used
+        new._push(row, head)
         return new
 
-    def _push(self, row: Sequence[int]) -> None:
+    def _fresh(self, row: Sequence[int]) -> bool:
+        """Whether `row` is zero on every used column but the last."""
+        return self._used.isdisjoint(c for c in range(len(row) - 1) if row[c])
+
+    def _push(self, row: Sequence[int], head: list[int] | None = None) -> None:
+        """Join `row` and reduce; `head` is lambda of `row` with its last entry set to 0, if known."""
         if not self._b:
             self._width = len(row)
-        _incorporate(row, self._width, self._b, self._d, self._lam)
-        if len(self._b) > 1:
+        if len(row) != self._width:
+            raise ParameterError("rows have unequal lengths")
+        b, d, lam, probe = self._b, self._d, self._lam, self._probe
+        if head is not None:
+            mu = [h + row[-1] * c for h, c in zip(head, probe)]
+        elif self._fresh(row):
+            mu = [row[-1] * c for c in probe]
+        else:
+            mu = _coefficients(row, b, d, lam)
+        _join(row, mu, b, d, lam)
+        u = row[-1]  # lambda_k(e) for the new row b_k, by the recurrence of `_coefficients`
+        for i, c in enumerate(mu):
+            u = (d[i + 1] * u - probe[i] * c) // d[i]
+        probe.append(u)
+        self._used = self._used.union(c for c, x in enumerate(row) if x)
+        if len(b) > 1:
             self._reduce_last()
 
     def _reduce_last(self) -> None:
         """LLL loop from the last row, given that the rows before it are reduced."""
-        b, d, lam = self._b, self._d, self._lam
+        b, d, lam, probe = self._b, self._d, self._lam, self._probe
         p, q = self.delta.numerator, self.delta.denominator
         k = kmax = len(b) - 1
 
@@ -225,10 +289,10 @@ class ReducedBasis:
                     lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
                 lam_ = lam[k][k - 1]
                 new_dk = (d[k - 1] * d[k + 1] + lam_ * lam_) // d[k]
-                for i in range(k + 1, kmax + 1):
-                    t = lam[i][k]
-                    lam[i][k] = (d[k + 1] * lam[i][k - 1] - lam_ * t) // d[k]
-                    lam[i][k - 1] = (new_dk * t + lam_ * lam[i][k]) // d[k + 1]
+                for li in lam[k + 1:] + [probe]:  # the rows below, then lambda(e) like one
+                    t = li[k]
+                    li[k] = (d[k + 1] * li[k - 1] - lam_ * t) // d[k]
+                    li[k - 1] = (new_dk * t + lam_ * li[k]) // d[k + 1]
                 d[k] = new_dk
                 k = max(k - 1, 1)
                 size_reduce(k, k - 1)

@@ -16,7 +16,7 @@ from juoan2 import (
     encode_key,
 )
 from juoan2.cli import main
-from juoan2.decrypt import decrypt_block
+from juoan2.decrypt import audit_decrypt_block, decrypt_block
 from juoan2.cryptanalysis import ambiguity_estimate, expand_assp_to_ssp
 
 from conftest import REF_S
@@ -372,3 +372,46 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["density", "-n", "10", "--lgM", "20"])  # missing --assp/--ssp
     assert exc.value.code == 2
+
+
+def test_decrypt_audit_refuses_an_ambiguous_block(tmp_path, capsys):
+    # keygen(4) with seed 1: "hi" encrypted with seed 1 has two blocks (1 and
+    # 2) with a second verified plaintext, and plain decryption silently
+    # returns b"bi".
+    base = str(tmp_path / "key")
+    msg, ct, out = tmp_path / "m", tmp_path / "c", tmp_path / "o"
+    msg.write_bytes(b"hi")
+    run(capsys, "keygen", "-n", "4", "--seed", "1", "-o", base)
+    run(capsys, "encrypt", "--pub", base + ".pub", "--in", str(msg),
+        "--out", str(ct), "--seed", "1")
+    prv = decode_key(Path(base + ".prv").read_text())
+    pub = decode_key(Path(base + ".pub").read_text())
+    blocks, _ = decode_ciphertext(ct.read_bytes())
+    verified = [{t.bits for t in audit_decrypt_block(prv, b, pub)} for b in blocks]
+    assert [i for i, v in enumerate(verified) if len(v) > 1] == [1, 2]
+    decrypt = ("decrypt", "--prv", base + ".prv", "--pub", base + ".pub",
+               "--in", str(ct), "--out", str(out))
+    code, _, err = run(capsys, *decrypt, "--audit")
+    assert code == 1
+    assert not out.exists()
+    assert "Traceback" not in err
+    assert [line.split(":")[0] for line in err.splitlines() if "ambiguous" in line] == ["block 1", "block 2"]
+    assert err.splitlines()[-1] == (
+        "error: 2 of 5 blocks have more than one verified plaintext; no output written")
+    code, _, err = run(capsys, *decrypt)
+    assert code == 0, err
+    assert out.read_bytes() == b"bi"
+
+
+@pytest.mark.parametrize("error, line", [
+    (MemoryError(), "error: MemoryError"),
+    (RecursionError("maximum recursion depth exceeded"),
+     "error: RecursionError: maximum recursion depth exceeded"),
+])
+def test_memory_and_recursion_errors_exit_1_with_one_line(capsys, monkeypatch, error, line):
+    def exhausted(args):
+        raise error
+
+    monkeypatch.setattr(juoan2.cli, "_cmd_density", exhausted)
+    code, out, err = run(capsys, "density", "--ssp", "-n", "8", "--lgM", "4")
+    assert (code, out, err) == (1, "", line + "\n")

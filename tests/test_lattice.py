@@ -1,5 +1,6 @@
 """Attack lattice construction, bit expansion, and the recovery pipeline."""
 
+import hashlib
 import time
 from random import Random
 
@@ -315,3 +316,32 @@ def brute_force_target(pub):
 
     bits = tuple([1, 0, 1, 1] + [1, 0])
     return encrypt_block(pub, BitBlock(bits, 4), NoiseVector((0,) * 6)).S
+
+
+def test_lattice_attack_outputs_are_pinned():
+    # The return values on fixed instances, hashed: planted SSP at n = 20
+    # with 40-bit weights (the SSP trial, every one recovered) and 22-bit
+    # weights (14 of 20, the rest try all 20 wrap guesses), genuine ASSP
+    # blocks at n = 4 (16 of 20) and n = 8 with every wrap guess, and the
+    # ASSP trial at n = 16 with max_wraps = 8.  The hash was taken with every
+    # row incorporated by the general O(k^2) recurrence, so it pins the fast
+    # paths to the same reductions.
+    from juoan2.encrypt import encrypt_block, extend_block, sample_noise
+
+    out = []
+    for bits, seeds in ((40, range(40)), (22, range(100, 120))):
+        for seed in seeds:
+            weights, _, S, M = planted_ssp_instance(20, bits, Random(seed))
+            out.append(lattice_attack(weights, S, M))
+    for n, keys, max_wraps in ((4, 20, None), (8, 6, None), (16, 4, 8)):
+        for seed in range(keys):
+            rng = Random(1000 * n + seed)
+            pub, _ = keygen(n, rng)
+            block = extend_block([rng.randint(0, 1) for _ in range(n)], rng)
+            ct = encrypt_block(pub, block, sample_noise(block.n_total, rng))
+            weights, var_map = expand_assp_to_ssp(pub)
+            out.append(lattice_attack(weights, ct.S, pub.M, assp_map=var_map, max_wraps=max_wraps))
+    hits = [sum(x is not None for x in part) for part in (out[:40], out[40:60], out[60:80], out[80:])]
+    assert hits == [40, 14, 16, 0]
+    digest = hashlib.sha256(repr(out).encode()).hexdigest()
+    assert digest == "1f7fab0c5435d52b03befa0974512d20b26eb6b5e8dc84734232dad575f21151"

@@ -22,7 +22,8 @@ from juoan2.cryptanalysis import (
     lovasz_holds,
     planted_ssp_instance,
 )
-from juoan2.cryptanalysis.lll import _gram_data
+from juoan2.cryptanalysis import lll
+from juoan2.cryptanalysis.lll import _coefficients, _gram_data
 
 from conftest import time_limit
 
@@ -496,3 +497,109 @@ def test_sparse_reducer_matches_the_reference_at_the_attack_size(seed):
     assert warm.lattice == reduced
     assert _gram_data(reduced.rows) == (warm._d, warm._lam)
 
+
+def fresh_unit_coefficients(basis: ReducedBasis) -> list[int]:
+    """lambda(e) for e the unit vector of the basis's last column, by the general recurrence."""
+    e = [0] * basis._width
+    e[-1] = 1
+    return _coefficients(e, basis._b, basis._d, basis._lam)
+
+
+@st.composite
+def embedding_bases(draw):
+    """(exact-sum lattice, the target row of the next wrap guess)."""
+    weights, T, M = draw(subset_sum_instances())
+    assume(2 * (T + M) != sum(weights))
+    return build_plain_ssp_lattice(weights, T), build_plain_ssp_lattice(weights, T + M).rows[-1]
+
+
+@st.composite
+def dense_bases(draw):
+    """(square full-rank basis of dim >= 2, None): the rows share their
+    columns, so after the first they take the general recurrence (a row of
+    a tiny-entry basis that misses every column used before it takes the
+    fast path)."""
+    basis = draw(full_rank_bases())
+    assume(basis.dim >= 2)
+    return basis, None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(embedding_bases(), dense_bases()))
+def test_kept_unit_coefficients_match_a_fresh_recurrence(case):
+    basis, next_target = case
+    with time_limit(10):
+        base = ReducedBasis()
+        for row in basis.rows[:-1]:
+            base._push(row)
+            assert base._probe == fresh_unit_coefficients(base)
+        for row in (basis.rows[-1], next_target):
+            if row is not None:
+                warm = base.appended(row)
+                assert warm._probe == fresh_unit_coefficients(warm)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(embedding_bases(), dense_bases()))
+def test_every_incorporation_path_gives_the_reference_reduction(case):
+    basis, next_target = case
+    want = reference_lll_reduce(basis)
+    with time_limit(10):
+        base = ReducedBasis(basis.rows[:-1])
+        for reduced in (ReducedBasis(basis.rows), base.appended(basis.rows[-1])):
+            assert reduced.lattice == want
+            assert (reduced._d, reduced._lam) == _gram_data(want.rows)
+        if next_target is not None:  # the second append reuses the first one's shared head
+            cold = IntegerLattice(basis.rows[:-1] + (next_target,))
+            assert base.appended(next_target).lattice == reference_lll_reduce(cold)
+
+
+def test_general_recurrence_serves_only_rows_off_the_fast_shapes(monkeypatch):
+    calls = []
+    general = lll._coefficients
+
+    def counted(row, *args):
+        calls.append(tuple(row))
+        return general(row, *args)
+
+    monkeypatch.setattr(lll, "_coefficients", counted)
+    with time_limit(10):  # a wrong coefficient can stall the reduction
+        dense = random_basis(Random(3), 6, 50)
+        ReducedBasis(dense.rows)
+        assert calls == list(dense.rows[1:])  # the first row has no coefficients to compute
+        weights, _, S, M = planted_ssp_instance(12, 24, Random(5))
+        rows = build_plain_ssp_lattice(weights, S).rows
+        calls.clear()
+        base = ReducedBasis(rows[:-1])
+        assert calls == []  # each weight row touches only a column no earlier row used
+        targets = [build_plain_ssp_lattice(weights, S + m * M).rows[-1] for m in range(5)]
+        for target in targets:
+            base.appended(target)
+        assert calls == [(1,) * 12 + (0,)]  # one head for every wrap guess
+        other = (2,) + targets[0][1:]
+        warm = base.appended(other)
+        assert warm.lattice == reference_lll_reduce(IntegerLattice(rows[:-1] + (other,)))
+        base.appended(targets[1])
+        assert calls[1:] == [other[:-1] + (0,), targets[1][:-1] + (0,)]
+
+
+@pytest.mark.parametrize("seed", [16, 61])
+def test_wrap_guesses_from_one_base_match_fresh_reductions_at_the_attack_size(seed):
+    # m = 0 ... 8 from one base, as lattice_attack runs them at n = 16: each
+    # must equal the reference reduction of that guess's cold lattice.
+    rng = Random(seed)
+    pub, _ = keygen(16, rng)
+    weights, _ = expand_assp_to_ssp(pub)
+    S = encrypt_message(pub, b"guesses", rng)[0].S
+    base = ReducedBasis(build_plain_ssp_lattice(weights, S).rows[:-1])
+    assert base._probe == fresh_unit_coefficients(base)
+    with time_limit(20):
+        for m in range(9):
+            T = S + m * pub.M
+            assert 2 * T != sum(weights)
+            cold = build_plain_ssp_lattice(weights, T)
+            warm = base.appended(cold.rows[-1])
+            want = reference_lll_reduce(cold)
+            assert warm.lattice == want
+            assert (warm._d, warm._lam) == _gram_data(want.rows)
+            assert warm._probe == fresh_unit_coefficients(warm)
