@@ -2,9 +2,11 @@
 
 Key generation hides an extra superincreasing sequence behind a modular
 affine transform with a discarded lever injection; encryption randomizes
-each block with a noise vector; decryption scans a bounded counter, undoing
-the transform one -W step at a time until a decomposition of the residue
-re-encrypts to the ciphertext under the public key.
+each block with a noise vector; decryption strips the units and, over a
+bounded retry count, jumps straight from one residue under the sequence's
+weighted sum to the next (a Euclid-style search on -W and M) until a
+decomposition of the residue re-encrypts to the ciphertext under the
+public key.
 
 The :mod:`juoan2.cryptanalysis` subpackage is the other side of the desk:
 density metrics, exact LLL reduction, subset-sum attack lattices, and

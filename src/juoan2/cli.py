@@ -13,14 +13,8 @@ from pathlib import Path
 from random import Random
 
 from .codec import decode_ciphertext, decode_key, encode_ciphertext, encode_key
-from .decrypt import (
-    _check_framing_width,
-    _unframe,
-    audit_decrypt_block,
-    decrypt_block,
-    decrypt_message,
-)
-from .encrypt import BitBlock, Ciphertext, NoiseVector, encrypt_block, encrypt_message
+from .decrypt import _check_framing_width, audit_decrypt_block, decrypt_block, decrypt_message
+from .encrypt import BitBlock, NoiseVector, encrypt_block, encrypt_message
 from .errors import DecodeError, FramingError, InvalidCiphertextError, ParameterError
 from .keygen import PrivateKey, PublicKey, derive_public, keygen
 from .cryptanalysis.density import ambiguity_estimate, assp_density_from_bits, ssp_density_from_bits
@@ -96,26 +90,6 @@ def _cmd_encrypt(args: argparse.Namespace) -> int:
     return 0
 
 
-def _audited_blocks(prv: PrivateKey, blocks: list[Ciphertext], pub: PublicKey,
-                    ambiguous: list[int]):
-    """Decrypt each block once, printing its trace to stderr as it goes.
-
-    Every verified plaintext of a block is listed too (`audit_decrypt_block`),
-    and the index of each block with more than one goes into `ambiguous`.
-    """
-    for idx, ct in enumerate(blocks):
-        block, trace = decrypt_block(prv, ct, pub)
-        branches = ",".join(s.branch for s in trace.steps)
-        print(f"block {idx}: k={trace.k} bits={''.join(map(str, block.bits))} "
-              f"branches={branches}", file=sys.stderr)
-        others = sorted({t.bits for t in audit_decrypt_block(prv, ct, pub)} - {block.bits})
-        if others:
-            shown = ",".join("".join(map(str, bits)) for bits in others)
-            print(f"block {idx}: ambiguous, also verifies as bits={shown}", file=sys.stderr)
-            ambiguous.append(idx)
-        yield block
-
-
 def _cmd_decrypt(args: argparse.Namespace) -> int:
     prv = _load_key(args.prv, want_private=True)
     pub = _load_key(args.pub, want_private=False)
@@ -123,15 +97,25 @@ def _cmd_decrypt(args: argparse.Namespace) -> int:
         blocks, n_payload = decode_ciphertext(Path(args.infile).read_bytes())
     except (DecodeError, FramingError) as exc:
         raise InvalidCiphertextError(str(exc)) from exc
+    message = decrypt_message(prv, blocks, pub, n_payload)
     if args.audit:
-        ambiguous: list[int] = []
-        message = _unframe(prv, _audited_blocks(prv, blocks, pub, ambiguous), n_payload)
+        # Every verified plaintext of each block, in the order decrypt_block
+        # meets them, so the first is the one decryption returned.
+        ambiguous = 0
+        for idx, ct in enumerate(blocks):
+            first, *rest = audit_decrypt_block(prv, ct, pub)
+            branches = ",".join(s.branch for s in first.steps)
+            print(f"block {idx}: k={first.k} bits={''.join(map(str, first.bits))} "
+                  f"branches={branches}", file=sys.stderr)
+            others = sorted({t.bits for t in rest} - {first.bits})
+            if others:
+                shown = ",".join("".join(map(str, bits)) for bits in others)
+                print(f"block {idx}: ambiguous, also verifies as bits={shown}", file=sys.stderr)
+                ambiguous += 1
         if ambiguous:
-            print(f"error: {len(ambiguous)} of {len(blocks)} blocks have more than one "
+            print(f"error: {ambiguous} of {len(blocks)} blocks have more than one "
                   f"verified plaintext; no output written", file=sys.stderr)
             return 1
-    else:
-        message = decrypt_message(prv, blocks, pub, n_payload)
     Path(args.out).write_bytes(message)
     print(f"decrypted {len(blocks)} blocks into {len(message)} bytes")
     return 0

@@ -131,14 +131,15 @@ def _scan_reduced(
     assp_map: VarMap | None,
 ) -> tuple[int, ...] | None:
     n = len(weights)
+    if assp_map is not None:
+        n_tilde = max(i for i, _ in assp_map)
     for vec in reduced.rows:
         x = _solution_from_vector(vec, n, weights, S, M)
         if x is None:
             continue
         if assp_map is not None:
-            n_tilde = max(i for i, _ in assp_map)
-            block = block_from_kappa(kappa_from_assignment(x, assp_map), n_tilde)
-            if block is None or not any(block):
+            # x is nonzero, so kappa is too, and its block is None or has a set bit
+            if block_from_kappa(kappa_from_assignment(x, assp_map), n_tilde) is None:
                 continue
         return x
     return None

@@ -11,19 +11,19 @@ closes with the wrong bits, or at a wrong retry count, far more often than
 not.  Decryption therefore needs the public key: it walks the full
 decomposition tree in greedy order and accepts only candidates that
 re-encrypt to the original ciphertext.  The walk tests each child against
-the capacity of the positions left below it before pushing it, so no dead
-branch reaches the stack, and it builds GreedySteps only for the candidates
-it yields.
+the capacity of the positions left below it (`keygen.capacity`) before
+pushing it, so no dead branch reaches the stack, and it builds GreedySteps
+only for the candidates it yields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .encrypt import BitBlock, Ciphertext, anomalous_sum, bits_to_bytes
 from .errors import FramingError, InvalidCiphertextError, ParameterError
-from .keygen import PrivateKey, PublicKey, weighted_sum
+from .keygen import PrivateKey, PublicKey, capacity, weighted_sum
 
 BRANCH_ONE = "one"
 BRANCH_NOISE = "noise"
@@ -54,19 +54,15 @@ def decompose_candidates(
     Yields (bits, noise positions, steps) in greedy-preference order: at each
     position a set bit, then a noise term, then a skip.  A child is pushed
     only if it can still close: its residual is zero, or the positions below
-    it can absorb the residual.  Steps are built for yielded candidates only.
+    it can absorb the residual.  That test is Property 1 at level L, the
+    count of ones already claimed: the positions below i absorb at most
+    L*plain[i] + cap[i], read from `capacity`.  Steps are built for yielded
+    candidates only.
     """
     if target < 0:
         raise ParameterError(f"target must be >= 0, got {target}")
     n = len(seq)
-    # plain[i] = sum of A_j for j < i; cap[i] = sum of (i-j)*A_j for j < i.
-    # With L ones already claimed, the positions below i can absorb at most
-    # L*plain[i] + cap[i].
-    plain = [0] * (n + 1)
-    cap = [0] * (n + 1)
-    for i, x in enumerate(seq):
-        plain[i + 1] = plain[i] + x
-        cap[i + 1] = cap[i] + plain[i + 1]
+    plain, cap = capacity(seq)
     if target > cap[n]:
         return
 
@@ -203,37 +199,22 @@ def decrypt_message(
     pub: PublicKey,
     n_payload: int | None = None,
 ) -> bytes:
-    """Decrypt blocks, drop per-block padding, strip the 10* terminator."""
+    """Decrypt blocks, drop per-block padding, strip the 10* terminator.
 
-    def blocks() -> Iterator[BitBlock]:
-        for idx, ct in enumerate(ciphertexts):
-            try:
-                block, _ = decrypt_block(prv, ct, pub)
-            except InvalidCiphertextError as exc:
-                raise InvalidCiphertextError(f"block {idx}: {exc}") from exc
-            yield block
-
-    return _unframe(prv, blocks(), n_payload)
-
-
-def _check_framing_width(n_payload: int, key_n_payload: int) -> None:
-    """Raise FramingError unless a ciphertext's framing width is the key's."""
-    if n_payload != key_n_payload:
-        raise FramingError(
-            f"ciphertext framing says n={n_payload} but the key was built for n={key_n_payload}"
-        )
-
-
-def _unframe(prv: PrivateKey, blocks: Iterable[BitBlock], n_payload: int | None) -> bytes:
-    """Join decrypted blocks into the message: check the framing width, drop
-    per-block padding, strip the 10* terminator.  `blocks` is consumed only
-    once the width check has passed."""
+    The framing width is checked before any block is decrypted, and a block
+    that does not decrypt is named by its 0-based index.
+    """
     n = prv.n_payload if n_payload is None else n_payload
     _check_framing_width(n, prv.n_payload)
-    decrypted = list(blocks)
-    if not decrypted:
+    if not ciphertexts:
         raise FramingError("empty ciphertext list")
-    payload_bits = [bit for block in decrypted for bit in block.bits[:n]]
+    payload_bits: list[int] = []
+    for idx, ct in enumerate(ciphertexts):
+        try:
+            block, _ = decrypt_block(prv, ct, pub)
+        except InvalidCiphertextError as exc:
+            raise InvalidCiphertextError(f"block {idx}: {exc}") from exc
+        payload_bits += block.bits[:n]
     while payload_bits and payload_bits[-1] == 0:
         payload_bits.pop()
     if not payload_bits:
@@ -242,3 +223,11 @@ def _unframe(prv: PrivateKey, blocks: Iterable[BitBlock], n_payload: int | None)
     if len(payload_bits) % 8:
         raise FramingError("recovered payload is not a whole number of bytes")
     return bits_to_bytes(payload_bits)
+
+
+def _check_framing_width(n_payload: int, key_n_payload: int) -> None:
+    """Raise FramingError unless a ciphertext's framing width is the key's."""
+    if n_payload != key_n_payload:
+        raise FramingError(
+            f"ciphertext framing says n={n_payload} but the key was built for n={key_n_payload}"
+        )

@@ -1,8 +1,13 @@
-"""Key generation: extra superincreasing sequences, modulus, units, lever, public transform."""
+"""Key generation: extra superincreasing sequences, modulus, units, lever, public transform.
+
+`capacity` holds the sequence bound's prefix sums; the weighted sum, the
+sequence check, Property 1 and decryption's tree walk all read it.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import gcd
 from random import Random
 from typing import Sequence
@@ -39,10 +44,22 @@ class PrivateKey:
         return len(self.A)
 
 
+def capacity(seq: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Running sums (plain, bound), each of length n + 1.
+
+    plain[i] is the sum of A_j and bound[i] the sum of (i-j)*A_j, over the
+    0-based j < i, so bound is the running sum of plain.  With L set bits
+    above position i, the positions below it can absorb at most
+    L*plain[i] + bound[i]: key validity and decryption both rest on this
+    one bound.
+    """
+    plain = list(accumulate(seq, initial=0))
+    return plain, list(accumulate(plain[1:], initial=0))
+
+
 def weighted_sum(seq: Sequence[int]) -> int:
     """Sum of (n+1-i) * A_i, the budget the modulus must exceed."""
-    n = len(seq)
-    return sum((n - i) * a for i, a in enumerate(seq))
+    return capacity(seq)[1][-1]
 
 
 def ceil_lg(m: int) -> int:
@@ -66,15 +83,12 @@ def first_violation(seq: Sequence[int]) -> int:
     """1-based index of the first element breaking the sequence rule, or 0.
 
     The rule: A_1 >= 1, A_2 > A_1 + 1, and every later A_i exceeds the
-    weighted prefix sum of (i-j)*A_j over j < i.  One pass, O(n) additions.
+    weighted prefix sum of (i-j)*A_j over j < i.  O(n) additions.
     """
-    plain = 0  # sum of A_j for j < i
-    bound = 0  # sum of (i-j)*A_j for j < i
+    bound = capacity(seq)[1]
     for i, x in enumerate(seq):
-        if x <= bound + (i == 1):  # i == 0: bound is 0; i == 1: bound is A_1
+        if x <= bound[i] + (i == 1):  # i == 0: bound is 0; i == 1: bound is A_1
             return i + 1
-        plain += x
-        bound += plain
     return 0
 
 
@@ -86,15 +100,12 @@ def validate_extra_superincreasing(seq: Sequence[int]) -> bool:
 
 
 def check_property1(seq: Sequence[int], k: int) -> bool:
-    """Check (k+1)*A_i > sum of (k+i-j)*A_j over j < i, for every i > 1."""
-    plain = 0  # sum of A_j, j < i
-    weighted = 0  # sum of (i-j)*A_j, j < i
-    for i in range(1, len(seq)):
-        weighted += plain + seq[i - 1]
-        plain += seq[i - 1]
-        if (k + 1) * seq[i] <= k * plain + weighted:
-            return False
-    return True
+    """Check (k+1)*A_i > sum of (k+i-j)*A_j over j < i, for every i > 1.
+
+    That sum is k*plain[i] + bound[i] from `capacity`.
+    """
+    plain, bound = capacity(seq)
+    return all((k + 1) * seq[i] > k * plain[i] + bound[i] for i in range(1, len(seq)))
 
 
 def gen_extra_superincreasing(n_tilde: int, rng: Random) -> tuple[int, ...]:

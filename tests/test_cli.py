@@ -2,6 +2,7 @@
 
 import time
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -9,6 +10,7 @@ import juoan2.cli
 import juoan2.decrypt
 from juoan2 import (
     Ciphertext,
+    InvalidCiphertextError,
     PublicKey,
     decode_ciphertext,
     decode_key,
@@ -401,6 +403,28 @@ def test_decrypt_audit_refuses_an_ambiguous_block(tmp_path, capsys):
     code, _, err = run(capsys, *decrypt)
     assert code == 0, err
     assert out.read_bytes() == b"bi"
+
+
+@pytest.mark.parametrize("audit", [(), ("--audit",)])
+def test_decrypt_names_the_block_it_rejects(tmp_path, capsys, audit):
+    base = str(tmp_path / "key")
+    msg, ct, out = tmp_path / "m", tmp_path / "c", tmp_path / "o"
+    msg.write_bytes(b"three blocks")
+    run(capsys, "keygen", "-n", "16", "--seed", "ab", "-o", base)
+    run(capsys, "encrypt", "--pub", base + ".pub", "--in", str(msg),
+        "--out", str(ct), "--seed", "04")
+    prv = decode_key(Path(base + ".prv").read_text())
+    pub = decode_key(Path(base + ".pub").read_text())
+    blocks, n_payload = decode_ciphertext(ct.read_bytes())
+    blocks[1] = Ciphertext(Random(0).randrange(pub.M))  # a uniform residue
+    with pytest.raises(InvalidCiphertextError):
+        decrypt_block(prv, blocks[1], pub)
+    ct.write_bytes(encode_ciphertext(blocks, n_payload))
+    code, _, err = run(capsys, "decrypt", "--prv", base + ".prv", "--pub", base + ".pub",
+                       "--in", str(ct), "--out", str(out), *audit)
+    assert code == 1
+    assert err.startswith("invalid ciphertext: block 1: no k <= ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("error, line", [

@@ -82,6 +82,22 @@ def test_decode_rejects_broken_sequence(pair):
         decode_key(text)
 
 
+def test_decode_rejects_a_sequence_element_above_the_modulus():
+    # A long element early in a long sequence: the sequence check's prefix
+    # sums would each be as long as it, so it is refused before that check.
+    text = "\n".join([
+        "JUOAN2 PRIVATE KEY v1",
+        "n=600",
+        "np=400",
+        f"M={1 << 1199:x}",
+        "A=" + ",".join([format(1 << 100_000, "x")] + ["1"] * 599),
+        "NW=1",
+        "DI=1",
+    ])
+    with pytest.raises(DecodeError, match="sequence element 1 is not below the modulus"):
+        decode_key(text)
+
+
 def test_decode_rejects_out_of_range_element(pair):
     pub, _ = pair
     text = encode_key(pub).replace("C=", "C=0,", 1)

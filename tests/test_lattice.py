@@ -5,6 +5,8 @@ import time
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from juoan2 import ParameterError, keygen
 from juoan2.cryptanalysis import (
@@ -119,6 +121,24 @@ def test_kappa_round_trip():
     assert block_from_kappa({3: 1, 1: 1}, 3) == (0, 0, 1)  # 1 = L: noise term
     assert block_from_kappa({3: 1, 1: 3}, 3) is None  # 3 is neither L nor L+1
     assert block_from_kappa({}, 3) == (0, 0, 0)
+
+
+@st.composite
+def nonzero_expanded_assignments(draw):
+    """An expansion shaped like expand_assp_to_ssp's and a nonzero assignment on it."""
+    n = draw(st.integers(1, 12))
+    var_map = tuple((i, t) for i in range(n, 0, -1) for t in range((n - i + 1).bit_length()))
+    x = draw(st.lists(st.integers(0, 1), min_size=len(var_map), max_size=len(var_map)).filter(any))
+    return n, x, var_map
+
+
+@given(nonzero_expanded_assignments())
+def test_a_nonzero_assignment_decodes_to_none_or_a_block_with_a_set_bit(case):
+    # the highest position with a nonzero multiplicity meets level 0, so it is
+    # a set bit or the block is inconsistent: the attack never sees a zero block
+    n, x, var_map = case
+    block = block_from_kappa(kappa_from_assignment(x, var_map), n)
+    assert block is None or any(block)
 
 
 def test_lattice_attack_recovers_planted_solution():
