@@ -145,11 +145,6 @@ def decode_key(text: str) -> PublicKey | PrivateKey:
     A = tuple(_parse_hex(x, "A") for x in fields["A"].split(","))
     if len(A) != n_tilde:
         raise DecodeError(f"expected {n_tilde} sequence elements, got {len(A)}")
-    # Bounds the prefix sums the sequence check builds: every one of n_tilde
-    # entries would otherwise be as long as the longest element.
-    for i, a in enumerate(A):
-        if a >= M:
-            raise DecodeError(f"sequence element {i + 1} is not below the modulus")
     bad = first_violation(A)
     if bad:
         raise DecodeError(f"sequence is not extra superincreasing (first violation at index {bad})")

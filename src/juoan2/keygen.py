@@ -83,11 +83,13 @@ def first_violation(seq: Sequence[int]) -> int:
     """1-based index of the first element breaking the sequence rule, or 0.
 
     The rule: A_1 >= 1, A_2 > A_1 + 1, and every later A_i exceeds the
-    weighted prefix sum of (i-j)*A_j over j < i.  O(n) additions.
+    weighted prefix sum of (i-j)*A_j over j < i.  Reads `capacity`'s bound
+    one entry at a time, so it stops at the first violation holding two
+    running sums: `decode_key` runs it on untrusted keys.
     """
-    bound = capacity(seq)[1]
-    for i, x in enumerate(seq):
-        if x <= bound[i] + (i == 1):  # i == 0: bound is 0; i == 1: bound is A_1
+    bounds = accumulate(accumulate(seq), initial=0)
+    for i, (x, b) in enumerate(zip(seq, bounds)):
+        if x <= b + (i == 1):  # i == 0: b is 0; i == 1: b is A_1
             return i + 1
     return 0
 

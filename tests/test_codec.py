@@ -1,5 +1,6 @@
 """Key and ciphertext serialization: round trips, validation, tamper rejection."""
 
+import tracemalloc
 import warnings
 from random import Random
 
@@ -82,20 +83,29 @@ def test_decode_rejects_broken_sequence(pair):
         decode_key(text)
 
 
-def test_decode_rejects_a_sequence_element_above_the_modulus():
-    # A long element early in a long sequence: the sequence check's prefix
-    # sums would each be as long as it, so it is refused before that check.
+def test_decode_refuses_a_hostile_sequence_at_once():
+    # Every element below M and M within the bit window, but A_2 = 1 breaks
+    # the rule.  A check that built the whole prefix table first would hold
+    # 2*n integers of about lg M bits each (about 19 MB here) before refusing.
+    n = 6000
+    M = (1 << (2 * n - 1)) + 1
     text = "\n".join([
         "JUOAN2 PRIVATE KEY v1",
-        "n=600",
-        "np=400",
-        f"M={1 << 1199:x}",
-        "A=" + ",".join([format(1 << 100_000, "x")] + ["1"] * 599),
+        f"n={n}",
+        f"np={2 * n // 3}",
+        f"M={M:x}",
+        "A=" + ",".join([format(M - 1, "x")] + ["1"] * (n - 1)),
         "NW=1",
         "DI=1",
     ])
-    with pytest.raises(DecodeError, match="sequence element 1 is not below the modulus"):
-        decode_key(text)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DecodeError, match="first violation at index 2"):
+            decode_key(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_decode_rejects_out_of_range_element(pair):
