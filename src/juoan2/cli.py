@@ -12,10 +12,10 @@ import sys
 from pathlib import Path
 from random import Random
 
-from .codec import decode_ciphertext, decode_key, encode_ciphertext, encode_key
-from .decrypt import _check_framing_width, audit_decrypt_block, decrypt_block, decrypt_message
+from .codec import check_ciphertext, decode_ciphertext, decode_key, encode_ciphertext, encode_key
+from .decrypt import audit_decrypt_block, decrypt_block, decrypt_message
 from .encrypt import BitBlock, NoiseVector, encrypt_block, encrypt_message
-from .errors import DecodeError, FramingError, InvalidCiphertextError, ParameterError
+from .errors import DecodeError, InvalidCiphertextError, ParameterError
 from .keygen import PrivateKey, PublicKey, derive_public, keygen
 from .cryptanalysis.density import ambiguity_estimate, assp_density_from_bits, ssp_density_from_bits
 from .cryptanalysis.lattice import (
@@ -95,7 +95,7 @@ def _cmd_decrypt(args: argparse.Namespace) -> int:
     pub = _load_key(args.pub, want_private=False)
     try:
         blocks, n_payload = decode_ciphertext(Path(args.infile).read_bytes())
-    except (DecodeError, FramingError) as exc:
+    except DecodeError as exc:
         raise InvalidCiphertextError(str(exc)) from exc
     message = decrypt_message(prv, blocks, pub, n_payload)
     if args.audit:
@@ -144,7 +144,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
             f"of {_MAX_ATTACK_WEIGHTS}"
         )
     blocks, n_payload = decode_ciphertext(Path(args.ct).read_bytes())
-    _check_framing_width(n_payload, pub.n_payload)
+    check_ciphertext(blocks, n_payload, pub)
     any_hit = False
     for idx, ct in enumerate(blocks):
         x = lattice_attack(weights, ct.S, pub.M, assp_map=var_map, max_wraps=args.trials)

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import struct
 import warnings
+from math import gcd
 from typing import Sequence
 
 from .encrypt import Ciphertext
-from .errors import DecodeError
+from .errors import DecodeError, FramingError, InvalidCiphertextError
 from .keygen import (
     PrivateKey,
     PublicKey,
@@ -155,6 +156,9 @@ def decode_key(text: str) -> PublicKey | PrivateKey:
     for what, v in (("NW", neg_w), ("DI", delta_inv)):
         if not 1 <= v <= M - 1:
             raise DecodeError(f"{what} out of range [1, M-1]: {v}")
+    # keygen draws delta coprime to M; W has no such test, so NW may share a factor.
+    if gcd(delta_inv, M) != 1:
+        raise DecodeError(f"DI shares a factor with M, so it is no delta^-1: {delta_inv}")
     return PrivateKey(A, neg_w, delta_inv, M, n_payload)
 
 
@@ -194,3 +198,20 @@ def decode_ciphertext(data: bytes) -> tuple[list[Ciphertext], int]:
     if pos != len(data):
         raise DecodeError(f"{len(data) - pos} trailing bytes after last block")
     return blocks, n_payload
+
+
+def check_ciphertext(
+    blocks: Sequence[Ciphertext], n_payload: int, key: PublicKey | PrivateKey
+) -> None:
+    """Check that decoded ciphertext fits `key`, before any block is worked on.
+
+    Raises FramingError unless the framing width is the key's, and
+    InvalidCiphertextError naming the first block outside [0, M).
+    """
+    if n_payload != key.n_payload:
+        raise FramingError(
+            f"ciphertext framing says n={n_payload} but the key was built for n={key.n_payload}"
+        )
+    for idx, block in enumerate(blocks):
+        if not 0 <= block.S < key.M:
+            raise InvalidCiphertextError(f"block {idx}: ciphertext {block.S} outside [0, {key.M})")

@@ -4,8 +4,9 @@ Gram-Schmidt data is kept as integers (Gram determinants d_i and scaled
 coefficients lambda_ij = mu_ij * d_j; Cohen, "A Course in Computational
 Algebraic Number Theory", Alg. 2.6.7, after de Weger, 1987), so every
 comparison is exact; this is algebraically identical to rational
-Gram-Schmidt but avoids fraction normalization.  One recurrence computes that
-data row by row, in O(k^2) big-integer work for a row joining k others:
+Gram-Schmidt but avoids fraction normalization.  One recurrence step
+(`_projected`) computes that data as each row joins, in O(k^2) big-integer
+work for a row joining k others (a swap updates it by its own formula):
 `ReducedBasis` keeps it after a reduction, so a row can be appended to a
 reduced basis without reducing the rest again, and the reducedness checks
 `is_size_reduced` and `lovasz_holds` read it directly.  The coefficients are
@@ -74,6 +75,19 @@ def gram_schmidt(rows: Sequence[Sequence[int]]) -> tuple[list[list[Fraction]], l
     return star, mu
 
 
+def _projected(u: int, x: Sequence[int], y: Sequence[int], d: list[int]) -> int:
+    """d[k] * <a, c*>, for c* the part of c orthogonal to the first k rows, k = len(y).
+
+    The integral Gram-Schmidt recurrence, in one place: from u = <a, c> and
+    the coefficients x = lambda(a), y = lambda(c) against the first k rows,
+    each step u <- (d[i+1] * u - x_i * y_i) // d[i] divides exactly.  With
+    c = b_k it gives lambda_k(a); with a = c, the next Gram determinant.
+    """
+    for i in range(len(y)):
+        u = (d[i + 1] * u - x[i] * y[i]) // d[i]
+    return u
+
+
 def _coefficients(row: Sequence[int], b: list[dict[int, int]], d: list[int],
                   lam: list[list[int]]) -> list[int]:
     """lambda_j(row) = d[j] * <row, b*_j> for every row b_j of b, by the general recurrence.
@@ -85,12 +99,8 @@ def _coefficients(row: Sequence[int], b: list[dict[int, int]], d: list[int],
     work for k rows.  lambda_j is linear in `row`.
     """
     mu: list[int] = []
-    for j, bj in enumerate(b):
-        lam_j = lam[j]
-        u = sum(x * row[c] for c, x in bj.items())
-        for i in range(j):
-            u = (d[i + 1] * u - mu[i] * lam_j[i]) // d[i]
-        mu.append(u)
+    for bj, lam_j in zip(b, lam):
+        mu.append(_projected(sum(x * row[c] for c, x in bj.items()), mu, lam_j, d))
     return mu
 
 
@@ -102,9 +112,7 @@ def _join(row: Sequence[int], mu: list[int], b: list[dict[int, int]], d: list[in
     Raises ParameterError, leaving b, d and lam unchanged, if `row`
     depends on b.
     """
-    u = sum(x * x for x in row)
-    for i, c in enumerate(mu):
-        u = (d[i + 1] * u - c * c) // d[i]
+    u = _projected(sum(x * x for x in row), mu, mu, d)
     if u == 0:
         raise ParameterError(f"basis is rank deficient at row {len(b) + 1}")
     b.append({c: x for c, x in enumerate(row) if x})
@@ -252,10 +260,7 @@ class ReducedBasis:
         else:
             mu = _coefficients(row, b, d, lam)
         _join(row, mu, b, d, lam)
-        u = row[-1]  # lambda_k(e) for the new row b_k, by the recurrence of `_coefficients`
-        for i, c in enumerate(mu):
-            u = (d[i + 1] * u - probe[i] * c) // d[i]
-        probe.append(u)
+        probe.append(_projected(row[-1], probe, mu, d))  # lambda_k(e) for the new row b_k
         self._used = self._used.union(c for c, x in enumerate(row) if x)
         if len(b) > 1:
             self._reduce_last()

@@ -12,6 +12,7 @@ from ..keygen import PublicKey, first_violation, weighted_sum
 
 MAX_BRUTE_N = 16
 MAX_ENUM_BITS = 20
+MAX_PROPERTY2_SUMS = 1 << 22
 
 
 def brute_force_assp(pub: PublicKey, S: int) -> list[tuple[tuple[int, ...], frozenset[int]]]:
@@ -53,17 +54,17 @@ def _noise_sums(pub: PublicKey, bits: Sequence[int]) -> tuple[list[int], list[in
     return free, sums
 
 
-def check_property2(seq: Sequence[int], m: int, limit: int = 1 << 22) -> bool:
+def check_property2(seq: Sequence[int], m: int) -> bool:
     """Distinctness of weighted ordered-subset sums m*A_x1 + ... + 1*A_xm.
 
     m = 0 checks all subset sizes jointly (sums must be distinct across
-    sizes too).  Raises if the enumeration would exceed `limit` sums.
+    sizes too).  Raises if the enumeration would exceed MAX_PROPERTY2_SUMS sums.
     """
     n = len(seq)
     sizes = range(1, n + 1) if m == 0 else [m]
     if m < 0 or m > n:
         raise ParameterError(f"subset size {m} outside [0, {n}]")
-    if sum(comb(n, s) for s in sizes) > limit:
+    if sum(comb(n, s) for s in sizes) > MAX_PROPERTY2_SUMS:
         raise ParameterError("combinatorial bound exceeded")
     seen: set[int] = set()
     for size in sizes:

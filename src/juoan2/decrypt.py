@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from .codec import check_ciphertext
 from .encrypt import BitBlock, Ciphertext, anomalous_sum, bits_to_bytes
 from .errors import FramingError, InvalidCiphertextError, ParameterError
 from .keygen import PrivateKey, PublicKey, capacity, weighted_sum
@@ -201,11 +202,12 @@ def decrypt_message(
 ) -> bytes:
     """Decrypt blocks, drop per-block padding, strip the 10* terminator.
 
-    The framing width is checked before any block is decrypted, and a block
-    that does not decrypt is named by its 0-based index.
+    The ciphertext is checked against the key (`codec.check_ciphertext`)
+    before any block is decrypted, and a block that does not decrypt is
+    named by its 0-based index.
     """
     n = prv.n_payload if n_payload is None else n_payload
-    _check_framing_width(n, prv.n_payload)
+    check_ciphertext(ciphertexts, n, prv)
     if not ciphertexts:
         raise FramingError("empty ciphertext list")
     payload_bits: list[int] = []
@@ -223,11 +225,3 @@ def decrypt_message(
     if len(payload_bits) % 8:
         raise FramingError("recovered payload is not a whole number of bytes")
     return bits_to_bytes(payload_bits)
-
-
-def _check_framing_width(n_payload: int, key_n_payload: int) -> None:
-    """Raise FramingError unless a ciphertext's framing width is the key's."""
-    if n_payload != key_n_payload:
-        raise FramingError(
-            f"ciphertext framing says n={n_payload} but the key was built for n={key_n_payload}"
-        )

@@ -1,7 +1,8 @@
 """Key generation: extra superincreasing sequences, modulus, units, lever, public transform.
 
-`capacity` holds the sequence bound's prefix sums; the weighted sum, the
-sequence check, Property 1 and decryption's tree walk all read it.
+`capacity` holds the sequence bound's prefix sums; the weighted sum,
+Property 1 and decryption's tree walk read it.  The sequence check runs the
+same two running sums lazily instead, so it stops at the first violation.
 """
 
 from __future__ import annotations
@@ -83,9 +84,10 @@ def first_violation(seq: Sequence[int]) -> int:
     """1-based index of the first element breaking the sequence rule, or 0.
 
     The rule: A_1 >= 1, A_2 > A_1 + 1, and every later A_i exceeds the
-    weighted prefix sum of (i-j)*A_j over j < i.  Reads `capacity`'s bound
-    one entry at a time, so it stops at the first violation holding two
-    running sums: `decode_key` runs it on untrusted keys.
+    weighted prefix sum of (i-j)*A_j over j < i.  That is `capacity`'s
+    bound, but computed lazily by the same two running sums rather than
+    read from the table, so it stops at the first violation holding two
+    integers: `decode_key` runs it on untrusted keys.
     """
     bounds = accumulate(accumulate(seq), initial=0)
     for i, (x, b) in enumerate(zip(seq, bounds)):

@@ -21,7 +21,15 @@ from juoan2.cli import main
 from juoan2.decrypt import audit_decrypt_block, decrypt_block
 from juoan2.cryptanalysis import ambiguity_estimate, expand_assp_to_ssp
 
-from conftest import REF_S
+from conftest import (
+    BAD_FRAMINGS,
+    NO_RESIDUE_PRV,
+    NO_RESIDUE_PUB,
+    NO_RESIDUE_S,
+    REF_S,
+    REFUSED_PRIVATE_KEYS,
+    encrypt_payloads,
+)
 
 
 def run(capsys, *argv):
@@ -405,8 +413,22 @@ def test_decrypt_audit_refuses_an_ambiguous_block(tmp_path, capsys):
     assert out.read_bytes() == b"bi"
 
 
-@pytest.mark.parametrize("audit", [(), ("--audit",)])
-def test_decrypt_names_the_block_it_rejects(tmp_path, capsys, audit):
+def _uniform_residue(M):  # decrypt_block finds no verified decomposition of it
+    return Random(0).randrange(M)
+
+
+def _beyond_M(M):
+    return M + 5
+
+
+@pytest.mark.parametrize("audit, bad_block, message", [
+    pytest.param((), _uniform_residue, "no k <= ", id="audit0"),
+    pytest.param(("--audit",), _uniform_residue, "no k <= ", id="audit1"),
+    pytest.param((), _beyond_M, "ciphertext {S} outside [0, {M})\n", id="beyond-M-audit0"),
+    pytest.param(("--audit",), _beyond_M, "ciphertext {S} outside [0, {M})\n",
+                 id="beyond-M-audit1"),
+])
+def test_decrypt_names_the_block_it_rejects(tmp_path, capsys, audit, bad_block, message):
     base = str(tmp_path / "key")
     msg, ct, out = tmp_path / "m", tmp_path / "c", tmp_path / "o"
     msg.write_bytes(b"three blocks")
@@ -416,14 +438,73 @@ def test_decrypt_names_the_block_it_rejects(tmp_path, capsys, audit):
     prv = decode_key(Path(base + ".prv").read_text())
     pub = decode_key(Path(base + ".pub").read_text())
     blocks, n_payload = decode_ciphertext(ct.read_bytes())
-    blocks[1] = Ciphertext(Random(0).randrange(pub.M))  # a uniform residue
-    with pytest.raises(InvalidCiphertextError):
-        decrypt_block(prv, blocks[1], pub)
+    blocks[1] = Ciphertext(bad_block(pub.M))
+    if blocks[1].S < pub.M:  # a residue: decrypt_block must reject it on its own
+        with pytest.raises(InvalidCiphertextError):
+            decrypt_block(prv, blocks[1], pub)
     ct.write_bytes(encode_ciphertext(blocks, n_payload))
     code, _, err = run(capsys, "decrypt", "--prv", base + ".prv", "--pub", base + ".pub",
                        "--in", str(ct), "--out", str(out), *audit)
     assert code == 1
-    assert err.startswith("invalid ciphertext: block 1: no k <= ")
+    assert err.startswith("invalid ciphertext: block 1: " + message.format(S=blocks[1].S, M=pub.M))
+    assert not out.exists()
+
+
+def test_attack_names_a_block_outside_the_modulus(tmp_path, capsys, monkeypatch):
+    pub, ct = _key_and_ciphertext(tmp_path, capsys, 8, "")
+    M = decode_key(Path(pub).read_text()).M
+    blocks, n_payload = decode_ciphertext(Path(ct).read_bytes())
+    blocks[1] = Ciphertext(M + 5)
+    Path(ct).write_bytes(encode_ciphertext(blocks, n_payload))
+    attacked = []
+    monkeypatch.setattr(juoan2.cli, "lattice_attack", lambda *a, **k: attacked.append(a))
+    code, out, err = run(capsys, "attack", "--pub", pub, "--ct", ct, "--trials", "0")
+    assert (code, out) == (1, "")
+    assert err == f"invalid ciphertext: block 1: ciphertext {M + 5} outside [0, {M})\n"
+    assert not attacked
+
+
+@pytest.mark.parametrize("key, message", REFUSED_PRIVATE_KEYS.values(), ids=REFUSED_PRIVATE_KEYS)
+def test_decrypt_refuses_a_hand_built_private_key_file(tmp_path, capsys, key, message):
+    pub, ct = _key_and_ciphertext(tmp_path, capsys, 8, "")
+    prv, out = tmp_path / "bad.prv", tmp_path / "o"
+    prv.write_text(encode_key(key))
+    code, _, err = run(capsys, "decrypt", "--prv", str(prv), "--pub", pub,
+                       "--in", ct, "--out", str(out))
+    assert code == 1
+    assert err.startswith("error: " + message) and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_decrypt_refuses_a_public_key_as_the_private_key(tmp_path, capsys):
+    pub, ct = _key_and_ciphertext(tmp_path, capsys, 8, "")
+    out = tmp_path / "o"
+    code, _, err = run(capsys, "decrypt", "--prv", pub, "--pub", pub,
+                       "--in", ct, "--out", str(out))
+    assert (code, err) == (1, f"error: {pub}: not a private key\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("payloads, message", BAD_FRAMINGS.values(), ids=BAD_FRAMINGS)
+def test_decrypt_refuses_a_bad_message_framing(tmp_path, capsys, payloads, message):
+    pub, _ = _key_and_ciphertext(tmp_path, capsys, 8, "")
+    prv, ct, out = Path(pub).with_suffix(".prv"), tmp_path / "bad.ct", tmp_path / "o"
+    ct.write_bytes(encode_ciphertext(
+        encrypt_payloads(decode_key(Path(pub).read_text()), payloads, Random(3)), 8))
+    code, _, err = run(capsys, "decrypt", "--prv", str(prv), "--pub", pub,
+                       "--in", str(ct), "--out", str(out))
+    assert (code, err) == (1, f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_decrypt_names_a_block_with_no_residue_under_the_budget(tmp_path, capsys):
+    prv, pub, ct, out = (tmp_path / name for name in ("k.prv", "k.pub", "c", "o"))
+    prv.write_text(encode_key(NO_RESIDUE_PRV))
+    pub.write_text(encode_key(NO_RESIDUE_PUB))
+    ct.write_bytes(encode_ciphertext([Ciphertext(NO_RESIDUE_S)], 8))
+    code, _, err = run(capsys, "decrypt", "--prv", str(prv), "--pub", str(pub),
+                       "--in", str(ct), "--out", str(out))
+    assert (code, err) == (1, "invalid ciphertext: block 0: no k <= 576 decomposes ciphertext 3999\n")
     assert not out.exists()
 
 

@@ -18,6 +18,8 @@ from juoan2 import (
     keygen,
 )
 
+from conftest import REFUSED_PRIVATE_KEYS
+
 
 @pytest.fixture(scope="module")
 def pair():
@@ -106,6 +108,14 @@ def test_decode_refuses_a_hostile_sequence_at_once():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("key, message", REFUSED_PRIVATE_KEYS.values(), ids=REFUSED_PRIVATE_KEYS)
+def test_decode_refuses_hand_built_private_keys(key, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # each is refused before or without a BitRangeWarning
+        with pytest.raises(DecodeError, match=message):
+            decode_key(encode_key(key))
 
 
 def test_decode_rejects_out_of_range_element(pair):

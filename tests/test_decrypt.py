@@ -12,9 +12,11 @@ from juoan2 import (
     ParameterError,
     PrivateKey,
     audit_decrypt_block,
+    decode_key,
     decrypt_block,
     decrypt_message,
     default_k_max,
+    encode_key,
     encrypt_block,
     encrypt_message,
     derive_public,
@@ -23,11 +25,15 @@ from juoan2 import (
     keygen,
     sample_noise,
 )
-from juoan2.decrypt import decompose_candidates, reencrypts_to
+from juoan2.decrypt import _shifted_targets, decompose_candidates, reencrypts_to
 from juoan2.encrypt import BitBlock, compute_L
 from juoan2.keygen import sample_lever, sample_units, select_modulus
 
 from conftest import (
+    BAD_FRAMINGS,
+    NO_RESIDUE_PRV,
+    NO_RESIDUE_PUB,
+    NO_RESIDUE_S,
     REF_A,
     REF_BITS,
     REF_BRANCHES,
@@ -35,6 +41,7 @@ from conftest import (
     REF_K,
     REF_S,
     REF_S0,
+    encrypt_payloads,
 )
 
 
@@ -143,9 +150,31 @@ def test_block_errors_name_the_block():
     rng = Random(2)
     pub, prv = keygen(8, rng)
     cts = encrypt_message(pub, b"ab", rng)
-    cts[1] = Ciphertext(0)
-    with pytest.raises(InvalidCiphertextError, match="block 1"):
+    for S, message in [
+        (0, "block 1"),
+        (prv.M + 5, rf"^block 1: ciphertext {prv.M + 5} outside \[0, {prv.M}\)$"),
+    ]:
+        cts[1] = Ciphertext(S)
+        with pytest.raises(InvalidCiphertextError, match=message):
+            decrypt_message(prv, cts, pub)
+
+
+@pytest.mark.parametrize("payloads, message", BAD_FRAMINGS.values(), ids=BAD_FRAMINGS)
+def test_decrypt_message_rejects_bad_framing(payloads, message):
+    rng = Random(3)
+    pub, prv = keygen(8, rng)
+    cts = encrypt_payloads(pub, payloads, rng)
+    assert [decrypt_block(prv, ct, pub)[0].bits[:8] for ct in cts] == payloads
+    with pytest.raises(FramingError, match=message):
         decrypt_message(prv, cts, pub)
+
+
+def test_a_retry_step_sharing_a_large_factor_with_M_reaches_no_residue():
+    prv = decode_key(encode_key(NO_RESIDUE_PRV))
+    ct = Ciphertext(NO_RESIDUE_S)
+    assert list(_shifted_targets(prv, ct, prv.M)) == []  # k_max = M spans every residue
+    with pytest.raises(InvalidCiphertextError, match="^no k <= 576 decomposes ciphertext 3999$"):
+        decrypt_block(prv, ct, NO_RESIDUE_PUB)
 
 
 def test_garbage_block_is_rejected_quickly_at_n128():

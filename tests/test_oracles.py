@@ -71,7 +71,7 @@ def test_property2_detects_collisions():
 def test_property2_limit():
     seq = tuple(range(1, 40))
     with pytest.raises(ParameterError):
-        check_property2(seq, 0, limit=100)
+        check_property2(seq, 0)
 
 
 def test_alternative_key_search_finds_genuine_key():
