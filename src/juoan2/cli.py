@@ -14,7 +14,7 @@ from random import Random
 
 from .codec import check_ciphertext, decode_ciphertext, decode_key, encode_ciphertext, encode_key
 from .decrypt import audit_decrypt_block, decrypt_block, decrypt_message
-from .encrypt import BitBlock, NoiseVector, encrypt_block, encrypt_message
+from .encrypt import BitBlock, Ciphertext, NoiseVector, encrypt_block, encrypt_message
 from .errors import DecodeError, InvalidCiphertextError, ParameterError
 from .keygen import PrivateKey, PublicKey, derive_public, keygen
 from .cryptanalysis.density import ambiguity_estimate, assp_density_from_bits, ssp_density_from_bits
@@ -60,11 +60,19 @@ def _rng_from_seed(seed: str | None) -> Random:
 
 def _load_key(path: str, want_private: bool):
     key = decode_key(Path(path).read_text())
-    if want_private and not isinstance(key, PrivateKey):
-        raise DecodeError(f"{path}: not a private key")
-    if not want_private and not isinstance(key, PublicKey):
-        raise DecodeError(f"{path}: not a public key")
+    if isinstance(key, PrivateKey) != want_private:
+        raise DecodeError(f"{path}: not a {'private' if want_private else 'public'} key")
     return key
+
+
+def _load_ciphertext(path: str, key: PublicKey | PrivateKey) -> list[Ciphertext]:
+    """Read and decode a ciphertext file and check that it fits `key`."""
+    try:
+        blocks, n_payload = decode_ciphertext(Path(path).read_bytes())
+    except DecodeError as exc:
+        raise InvalidCiphertextError(str(exc)) from exc
+    check_ciphertext(blocks, n_payload, key)
+    return blocks
 
 
 def _cmd_keygen(args: argparse.Namespace) -> int:
@@ -93,11 +101,8 @@ def _cmd_encrypt(args: argparse.Namespace) -> int:
 def _cmd_decrypt(args: argparse.Namespace) -> int:
     prv = _load_key(args.prv, want_private=True)
     pub = _load_key(args.pub, want_private=False)
-    try:
-        blocks, n_payload = decode_ciphertext(Path(args.infile).read_bytes())
-    except DecodeError as exc:
-        raise InvalidCiphertextError(str(exc)) from exc
-    message = decrypt_message(prv, blocks, pub, n_payload)
+    blocks = _load_ciphertext(args.infile, prv)
+    message = decrypt_message(prv, blocks, pub)
     if args.audit:
         # Every verified plaintext of each block, in the order decrypt_block
         # meets them, so the first is the one decryption returned.
@@ -143,8 +148,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
             f"the key expands to {len(weights)} weights, above the attack's ceiling "
             f"of {_MAX_ATTACK_WEIGHTS}"
         )
-    blocks, n_payload = decode_ciphertext(Path(args.ct).read_bytes())
-    check_ciphertext(blocks, n_payload, pub)
+    blocks = _load_ciphertext(args.ct, pub)
     any_hit = False
     for idx, ct in enumerate(blocks):
         x = lattice_attack(weights, ct.S, pub.M, assp_map=var_map, max_wraps=args.trials)

@@ -8,7 +8,7 @@ from math import gcd
 from typing import Sequence
 
 from .encrypt import Ciphertext
-from .errors import DecodeError, FramingError, InvalidCiphertextError
+from .errors import DecodeError, FramingError, InvalidCiphertextError, ParameterError
 from .keygen import (
     PrivateKey,
     PublicKey,
@@ -23,6 +23,8 @@ _PUBLIC_MAGIC = "JUOAN2 PUBLIC KEY v1"
 _PRIVATE_MAGIC = "JUOAN2 PRIVATE KEY v1"
 _CT_MAGIC = b"J2CT"
 _CT_VERSION = 1
+# Each block's magnitude is framed with a 2-byte length.
+_MAX_BLOCK_BYTES = 0xFFFF
 
 
 class BitRangeWarning(UserWarning):
@@ -76,12 +78,17 @@ def encode_key(key: PublicKey | PrivateKey) -> str:
 
 
 def _check_bit_range(M: int, n_tilde: int) -> None:
-    """Reject ceil(lg M) above the admissible window; warn below its floor."""
-    bits = ceil_lg(M)
+    """Reject ceil(lg M) above the window or a block's frame; warn below the window's floor."""
+    bits = ceil_lg(M)  # the bit length of M - 1, the largest residue
     ceiling = max_modulus_bits(n_tilde)
     if bits > ceiling:
         raise DecodeError(
             f"modulus with ceil(lg M) = {bits} is above the ceiling {ceiling} for n={n_tilde}"
+        )
+    if bits > 8 * _MAX_BLOCK_BYTES:
+        raise DecodeError(
+            f"modulus with ceil(lg M) = {bits} has residues longer than a ciphertext"
+            f" block's {_MAX_BLOCK_BYTES}-byte frame"
         )
     floor = min_modulus_bits(n_tilde)
     if bits < floor:
@@ -98,8 +105,9 @@ def decode_key(text: str) -> PublicKey | PrivateKey:
 
     A modulus above the admissible window (ceil(lg M) > 2n, where keygen
     draws every modulus) is rejected, which bounds the work any later step
-    spends on one key.  A modulus below the window's floor only warns, so
-    hand-built desk-scale keys still load.
+    spends on one key, and so is one whose residues overrun a ciphertext
+    block's 65 535-byte frame.  A modulus below the window's floor only
+    warns, so hand-built desk-scale keys still load.
     """
     lines = text.splitlines()
     if not lines:
@@ -165,8 +173,13 @@ def decode_key(text: str) -> PublicKey | PrivateKey:
 def encode_ciphertext(blocks: Sequence[Ciphertext], n_payload: int) -> bytes:
     """Binary framing: magic, version, n_payload, block count, length-prefixed magnitudes."""
     out = [_CT_MAGIC, struct.pack(">BII", _CT_VERSION, n_payload, len(blocks))]
-    for block in blocks:
+    for idx, block in enumerate(blocks):
         mag = block.S.to_bytes((block.S.bit_length() + 7) // 8, "big") if block.S else b""
+        if len(mag) > _MAX_BLOCK_BYTES:
+            raise ParameterError(
+                f"block {idx}: ciphertext is {len(mag)} bytes, above the frame's"
+                f" {_MAX_BLOCK_BYTES}-byte limit"
+            )
         out.append(struct.pack(">H", len(mag)))
         out.append(mag)
     return b"".join(out)

@@ -464,6 +464,26 @@ def test_attack_names_a_block_outside_the_modulus(tmp_path, capsys, monkeypatch)
     assert not attacked
 
 
+@pytest.mark.parametrize("command", ["decrypt", "attack"])
+def test_a_malformed_ciphertext_file_reads_the_same_in_every_command(
+    tmp_path, capsys, monkeypatch, command
+):
+    pub, _ = _key_and_ciphertext(tmp_path, capsys, 8, "")
+    bad, out = tmp_path / "bad.ct", tmp_path / "o"
+    bad.write_bytes(b"J2CTgarbage")  # the magic, then 7 of the header's 9 bytes
+    attacked = []
+    monkeypatch.setattr(juoan2.cli, "lattice_attack", lambda *a, **k: attacked.append(a))
+    if command == "decrypt":
+        argv = ("decrypt", "--prv", pub[:-4] + ".prv", "--pub", pub,
+                "--in", str(bad), "--out", str(out))
+    else:
+        argv = ("attack", "--pub", pub, "--ct", str(bad))
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (1, "")
+    assert err == "invalid ciphertext: truncated ciphertext header\n"
+    assert not out.exists() and not attacked
+
+
 @pytest.mark.parametrize("key, message", REFUSED_PRIVATE_KEYS.values(), ids=REFUSED_PRIVATE_KEYS)
 def test_decrypt_refuses_a_hand_built_private_key_file(tmp_path, capsys, key, message):
     pub, ct = _key_and_ciphertext(tmp_path, capsys, 8, "")

@@ -10,6 +10,7 @@ from juoan2 import (
     BitRangeWarning,
     Ciphertext,
     DecodeError,
+    ParameterError,
     PublicKey,
     decode_ciphertext,
     decode_key,
@@ -139,6 +140,19 @@ def test_modulus_above_the_window_is_rejected():
     assert decode_key(encode_key(top)) == top
     with pytest.raises(DecodeError, match="above the ceiling 12"):
         decode_key(encode_key(PublicKey(top.C, top.M + 1, 4)))
+
+
+def test_modulus_longer_than_a_block_frame_is_rejected():
+    # n = 262200 allows ceil(lg M) up to 524400 bits, but a block's 2-byte
+    # length frames at most 65535 bytes (524280 bits); refused before C is read.
+    header = f"JUOAN2 PUBLIC KEY v1\nn=262200\nnp=174800\nM={(1 << 524_400) - 1:x}\nC=1\n"
+    with pytest.raises(DecodeError, match="65535-byte frame"):
+        decode_key(header)
+
+
+def test_encoding_refuses_a_block_longer_than_its_frame():
+    with pytest.raises(ParameterError, match="block 1: ciphertext is 65536 bytes"):
+        encode_ciphertext([Ciphertext(7), Ciphertext(1 << 524_280)], 4)
 
 
 def test_generated_keys_load_silently(pair):

@@ -25,6 +25,7 @@ from juoan2 import (
     keygen,
     sample_noise,
 )
+from juoan2.cryptanalysis import brute_force_assp
 from juoan2.decrypt import _shifted_targets, decompose_candidates, reencrypts_to
 from juoan2.encrypt import BitBlock, compute_L
 from juoan2.keygen import sample_lever, sample_units, select_modulus
@@ -79,6 +80,25 @@ def test_another_keys_public_key_is_refused(ref_prv):
 def test_audit_lists_the_true_k(ref_prv, ref_pub):
     traces = audit_decrypt_block(ref_prv, Ciphertext(REF_S), ref_pub)
     assert any(t.k == REF_K for t in traces)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_audit_finds_every_verified_plaintext(n):
+    # decrypt --audit judges ambiguity by the set audit_decrypt_block returns;
+    # it must be exactly the nonzero bit patterns the brute-force oracle finds
+    # (the forced padding bit rules out the all-zero block), for genuine
+    # blocks and for uniform residues, which often have no preimage.
+    rng = Random(1000 + n)
+    for _ in range(10):
+        pub, prv = keygen(n, rng)
+        targets = []
+        for _ in range(25):
+            block = extend_block([rng.randint(0, 1) for _ in range(n)], rng)
+            targets.append(encrypt_block(pub, block, sample_noise(block.n_total, rng)).S)
+            targets.append(rng.randrange(pub.M))
+        for S in targets:
+            audited = {t.bits for t in audit_decrypt_block(prv, Ciphertext(S), pub)}
+            assert audited == {bits for bits, _ in brute_force_assp(pub, S) if any(bits)}, S
 
 
 def test_default_k_max():

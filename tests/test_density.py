@@ -93,20 +93,23 @@ def test_ambiguity_estimate_formula():
             ambiguity_estimate(n_tilde, M)
 
 
-def test_ambiguity_estimate_tracks_audited_blocks_at_n4():
-    # 20 keygen(4) keys (n_tilde = 6, a 12-bit modulus) and 30 genuine
-    # blocks each; a block is ambiguous when audit_decrypt_block finds more
-    # than one distinct plaintext.  Tolerance: the observed share lies within
-    # a factor 1.5 of the mean model figure (about 0.12; the binomial spread
-    # alone is about 0.014 over 600 blocks).
-    rng = Random(4)
+@pytest.mark.parametrize("n, keys", [(4, 20), (6, 50)], ids=["n4", "n6"])
+def test_ambiguity_estimate_tracks_audited_blocks(n, keys):
+    # `keys` keygen(n) keys and 30 genuine blocks each; a block is ambiguous
+    # when audit_decrypt_block (exact against brute_force_assp, see
+    # test_decrypt) finds more than one distinct plaintext.  Tolerance: the
+    # observed share lies within a factor 1.5 of the mean model figure.  At
+    # n = 4 (n_tilde = 6, a 12-bit modulus) the model is about 0.12 and the
+    # binomial spread about 0.014 over 600 blocks; at n = 6 (n_tilde = 9,
+    # 18 bits) about 0.05 and 0.006 over 1500 blocks.
+    rng = Random(n)
     ambiguous = blocks = 0
     model = []
-    for _ in range(20):
-        pub, prv = keygen(4, rng)
+    for _ in range(keys):
+        pub, prv = keygen(n, rng)
         model.append(ambiguity_estimate(pub.n_tilde, pub.M))
         for _ in range(30):
-            block = extend_block([rng.randint(0, 1) for _ in range(4)], rng)
+            block = extend_block([rng.randint(0, 1) for _ in range(n)], rng)
             ct = encrypt_block(pub, block, sample_noise(block.n_total, rng))
             preimages = {t.bits for t in audit_decrypt_block(prv, ct, pub)}
             assert block.bits in preimages

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import juoan2
+import juoan2.cryptanalysis
 from juoan2 import (
     DecodeError,
     decode_ciphertext,
@@ -80,11 +81,12 @@ def test_decode_ciphertext_raises_only_decode_error(data):
     decodes_or_rejects(decode_ciphertext, data)
 
 
+SOURCES = sorted(Path(juoan2.__file__).parent.rglob("*.py"))
+
+
 def test_stdlib_only_imports():
-    root = Path(juoan2.__file__).parent
-    modules = sorted(root.rglob("*.py"))
-    assert modules
-    for path in modules:
+    assert SOURCES
+    for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -95,3 +97,30 @@ def test_stdlib_only_imports():
             for name in names:
                 top = name.partition(".")[0]
                 assert top == "juoan2" or top in sys.stdlib_module_names, (path.name, name)
+
+
+def test_sources_parse_as_python_3_10():
+    # requires-python is >=3.10.  feature_version only rejects syntax newer
+    # than 3.10 (a match statement passes, an except* group fails); it is a
+    # syntax floor and says nothing about library calls added since.
+    for path in SOURCES:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("package", [juoan2, juoan2.cryptanalysis], ids=lambda m: m.__name__)
+def test_every_exported_name_resolves(package):
+    missing = [name for name in package.__all__ if not hasattr(package, name)]
+    assert not missing
+
+
+def test_no_module_imports_another_modules_private_names():
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and node.module.partition(".")[0] != "juoan2":
+                continue  # stdlib, including __future__
+            module_parts = (node.module or "").split(".")
+            names = [alias.name for alias in node.names]
+            private = [part for part in module_parts + names if part.startswith("_")]
+            assert not private, (path.name, node.module, private)
