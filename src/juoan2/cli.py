@@ -19,10 +19,10 @@ from .errors import DecodeError, InvalidCiphertextError, ParameterError
 from .keygen import PrivateKey, PublicKey, derive_public, keygen
 from .cryptanalysis.density import ambiguity_estimate, assp_density_from_bits, ssp_density_from_bits
 from .cryptanalysis.lattice import (
+    SubsetSumAttack,
     block_from_kappa,
     expand_assp_to_ssp,
     kappa_from_assignment,
-    lattice_attack,
 )
 from .cryptanalysis.oracles import brute_force_assp
 
@@ -47,10 +47,10 @@ _REF_BRANCHES = ("one", "noise", "noise", "one", "skip", "one", "skip", "one")
 _MAX_KEYGEN_N = 4096
 
 # Largest expanded weight count `attack` takes on: 231 at n=32, 552 at n=64.
-# The weight-row reduction takes about 0.5 s at n=32 and 23 s at n=64, and
-# each of up to one wrap guess per weight appends a row (about 9 ms at n=32,
-# 0.2 s at n=64): a block takes about 3 s at n=32 and about 2 minutes at
-# n=64, and a message has many blocks, so larger keys are refused up front.
+# The weight rows are reduced once per key (about 0.5 s at n=32, 23 s at
+# n=64); each block then appends a row for each of up to one wrap guess per
+# weight (about 9 ms at n=32, 0.2 s at n=64), about 2.5 s at n=32 and 2
+# minutes at n=64 a block, and a message has many, so larger keys are refused.
 _MAX_ATTACK_WEIGHTS = 256
 
 
@@ -149,9 +149,10 @@ def _cmd_attack(args: argparse.Namespace) -> int:
             f"of {_MAX_ATTACK_WEIGHTS}"
         )
     blocks = _load_ciphertext(args.ct, pub)
+    attack = SubsetSumAttack(weights, pub.M, assp_map=var_map, max_wraps=args.trials)
     any_hit = False
     for idx, ct in enumerate(blocks):
-        x = lattice_attack(weights, ct.S, pub.M, assp_map=var_map, max_wraps=args.trials)
+        x = attack(ct.S)
         if x is None:
             print(f"block {idx}: attack failed")
             continue

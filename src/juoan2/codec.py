@@ -218,13 +218,15 @@ def check_ciphertext(
 ) -> None:
     """Check that decoded ciphertext fits `key`, before any block is worked on.
 
-    Raises FramingError unless the framing width is the key's, and
-    InvalidCiphertextError naming the first block outside [0, M).
+    Raises FramingError unless the framing width is the key's and there is a
+    block, and InvalidCiphertextError naming the first block outside [0, M).
     """
     if n_payload != key.n_payload:
         raise FramingError(
             f"ciphertext framing says n={n_payload} but the key was built for n={key.n_payload}"
         )
+    if not blocks:
+        raise FramingError("empty ciphertext list")
     for idx, block in enumerate(blocks):
         if not 0 <= block.S < key.M:
             raise InvalidCiphertextError(f"block {idx}: ciphertext {block.S} outside [0, {key.M})")

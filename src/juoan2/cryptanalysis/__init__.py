@@ -18,6 +18,7 @@ from .experiments import (
     write_experiment_csv,
 )
 from .lattice import (
+    SubsetSumAttack,
     block_from_kappa,
     build_plain_ssp_lattice,
     build_ssp_lattice,
@@ -49,6 +50,7 @@ __all__ = [
     "ExperimentRow",
     "IntegerLattice",
     "ReducedBasis",
+    "SubsetSumAttack",
     "ambiguity_estimate",
     "assp_density",
     "assp_density_from_bits",

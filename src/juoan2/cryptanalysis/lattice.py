@@ -145,6 +145,64 @@ def _scan_reduced(
     return None
 
 
+class SubsetSumAttack:
+    """The lattice attack on one weight vector, reduced once for any number of targets.
+
+    Calling the object with a target S in [0, M) returns solution bits over
+    `weights`, or None; with `assp_map`, a candidate must also decode to a
+    structurally consistent block.  Each guess of the wraparound count m
+    gets the exact-sum lattice for S + m*M, with no modulus row (Coster,
+    Joux, LaMacchia, Odlyzko, Schnorr and Stern, "Improved low-density
+    subset sum algorithms", 1992).  Only its last row depends on S and m, so
+    the constructor reduces the weight rows once and every guess of every
+    call appends its target row to a copy of that reduction.  `ReducedBasis`
+    takes in each weight row, on a column of its own, and each target row
+    after the first, which differ only in the embedding column, in O(n)
+    big-integer work; what a guess costs is the LLL loop from its row, and
+    copying the base.  When 2*(S + m*M) == sum(weights) the target row is
+    half the sum of the weight rows, so the last weight row is twice the
+    target row minus the others, and that guess reduces the same lattice
+    from the other weight rows and the target row.  Each weight lies in
+    [0, M), so m < len(weights) (a larger m makes the target exceed the sum
+    of all weights), and `max_wraps`, which caps the guesses, is clamped to
+    len(weights) - 1, its default.  Raises ParameterError when max_wraps is
+    negative or a weight lies outside [0, M), and, on a call, when S is
+    outside [0, M).
+    """
+
+    def __init__(self, weights: Sequence[int], M: int,
+                 assp_map: VarMap | None = None, max_wraps: int | None = None) -> None:
+        if max_wraps is not None and max_wraps < 0:
+            raise ParameterError(f"max_wraps must be >= 0, got {max_wraps}")
+        self.weights = tuple(weights)
+        for i, w in enumerate(self.weights):
+            if not 0 <= w < M:
+                raise ParameterError(f"weight {i}: {w} outside [0, {M})")
+        rows, self._scale = _embedding_rows(self.weights, 0)
+        self._weight_rows, self._ones = rows[:-1], rows[-1][:-1]
+        ceiling = len(self.weights) - 1
+        self.max_wraps = ceiling if max_wraps is None else min(max_wraps, ceiling)
+        self.M = M
+        self.assp_map = assp_map
+        self._base = ReducedBasis(self._weight_rows, DEFAULT_DELTA)
+
+    def __call__(self, S: int) -> tuple[int, ...] | None:
+        if not 0 <= S < self.M:
+            raise ParameterError(f"target {S} outside [0, {self.M})")
+        total = sum(self.weights)
+        for m in range(self.max_wraps + 1):
+            T = S + m * self.M
+            target_row = self._ones + (self._scale * T,)
+            if 2 * T == total:
+                reduced = ReducedBasis(self._weight_rows[:-1] + [target_row], DEFAULT_DELTA).lattice
+            else:
+                reduced = self._base.appended(target_row).lattice
+            x = _scan_reduced(reduced, self.weights, S, self.M, self.assp_map)
+            if x is not None:
+                return x
+        return None
+
+
 def lattice_attack(
     weights: Sequence[int],
     S: int,
@@ -152,47 +210,5 @@ def lattice_attack(
     assp_map: VarMap | None = None,
     max_wraps: int | None = None,
 ) -> tuple[int, ...] | None:
-    """LLL attack lattices and scan reduced rows for a verified solution.
-
-    Returns the solution bits over `weights`, or None.  With `assp_map`, a
-    candidate must additionally decode to a structurally consistent block.
-
-    Each guess of the wraparound count m gets the exact-sum lattice for
-    S + m*M, with no modulus row (the embedding of Coster, Joux, LaMacchia,
-    Odlyzko, Schnorr and Stern, "Improved low-density subset sum
-    algorithms", 1992).  Only its last row depends on m, so the weight rows
-    are reduced once per call and each guess appends its target row to a
-    copy of that reduction.  The target rows differ only in the embedding
-    column, so `ReducedBasis` incorporates each in O(n) big-integer work
-    after the first, and each weight row, on a column of its own, in O(n)
-    too; what a guess costs is the LLL loop from its row, and copying the
-    base.  When 2*(S + m*M) == sum(weights) the target row
-    is half the sum of the weight rows, so the last weight row is twice the
-    target row minus the others, and that guess reduces the same lattice
-    from the other weight rows and the target row.  m is below len(weights)
-    because each weight is below M (a larger m makes the target exceed the
-    sum of all weights), so `max_wraps`, which caps the guesses, is clamped
-    to len(weights) - 1, its default.  Raises ParameterError when S is
-    outside [0, M) or max_wraps is negative.
-    """
-    if not 0 <= S < M:
-        raise ParameterError(f"target {S} outside [0, {M})")
-    if max_wraps is not None and max_wraps < 0:
-        raise ParameterError(f"max_wraps must be >= 0, got {max_wraps}")
-    rows, scale = _embedding_rows(weights, S)
-    weight_rows, ones = rows[:-1], rows[-1][:-1]
-    ceiling = len(weights) - 1
-    max_wraps = ceiling if max_wraps is None else min(max_wraps, ceiling)
-    base = ReducedBasis(weight_rows, DEFAULT_DELTA)
-    total = sum(weights)
-    for m in range(max_wraps + 1):
-        T = S + m * M
-        target_row = ones + (scale * T,)
-        if 2 * T == total:
-            reduced = ReducedBasis(weight_rows[:-1] + [target_row], DEFAULT_DELTA).lattice
-        else:
-            reduced = base.appended(target_row).lattice
-        x = _scan_reduced(reduced, weights, S, M, assp_map)
-        if x is not None:
-            return x
-    return None
+    """The one-call form of `SubsetSumAttack`: attack the one target S."""
+    return SubsetSumAttack(weights, M, assp_map, max_wraps)(S)

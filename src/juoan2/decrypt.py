@@ -208,8 +208,6 @@ def decrypt_message(
     """
     n = prv.n_payload if n_payload is None else n_payload
     check_ciphertext(ciphertexts, n, prv)
-    if not ciphertexts:
-        raise FramingError("empty ciphertext list")
     payload_bits: list[int] = []
     for idx, ct in enumerate(ciphertexts):
         try:

@@ -19,7 +19,14 @@ from juoan2 import (
 )
 from juoan2.cli import main
 from juoan2.decrypt import audit_decrypt_block, decrypt_block
-from juoan2.cryptanalysis import ambiguity_estimate, expand_assp_to_ssp
+from juoan2.cryptanalysis import (
+    ambiguity_estimate,
+    block_from_kappa,
+    expand_assp_to_ssp,
+    kappa_from_assignment,
+    lattice,
+    lattice_attack,
+)
 
 from conftest import (
     BAD_FRAMINGS,
@@ -327,7 +334,7 @@ def test_attack_rejects_a_ciphertext_framed_for_another_width(
     pub, _ = _key_and_ciphertext(tmp_path, capsys, key_n, "k")
     _, ct = _key_and_ciphertext(tmp_path, capsys, ct_n, "c")
     attacked = []
-    monkeypatch.setattr(juoan2.cli, "lattice_attack", lambda *a, **k: attacked.append(a))
+    monkeypatch.setattr(juoan2.cli, "SubsetSumAttack", lambda *a, **k: attacked.append(a))
     code, out, err = run(capsys, "attack", "--pub", pub, "--ct", ct)
     assert code == 1
     assert f"ciphertext framing says n={ct_n} but the key was built for n={key_n}" in err
@@ -338,7 +345,7 @@ def test_attack_rejects_a_ciphertext_framed_for_another_width(
 def test_attack_refuses_a_key_above_the_ceiling_at_once(tmp_path, capsys, monkeypatch):
     pub, ct = _key_and_ciphertext(tmp_path, capsys, 128, "")
     attacked = []
-    monkeypatch.setattr(juoan2.cli, "lattice_attack", lambda *a, **k: attacked.append(a))
+    monkeypatch.setattr(juoan2.cli, "SubsetSumAttack", lambda *a, **k: attacked.append(a))
     start = time.perf_counter()
     code, out, err = run(capsys, "attack", "--pub", pub, "--ct", ct)
     assert time.perf_counter() - start < 0.5
@@ -357,7 +364,7 @@ def test_attack_refuses_a_modulus_above_the_window_at_once(tmp_path, capsys, mon
     pub.write_text(encode_key(PublicKey(tuple(M // k for k in range(2, 8)), M, 4)))
     ct.write_bytes(encode_ciphertext([Ciphertext(M // 3)], 4))
     attacked = []
-    monkeypatch.setattr(juoan2.cli, "lattice_attack", lambda *a, **k: attacked.append(a))
+    monkeypatch.setattr(juoan2.cli, "SubsetSumAttack", lambda *a, **k: attacked.append(a))
     start = time.perf_counter()
     code, out, err = run(capsys, "attack", "--pub", str(pub), "--ct", str(ct))
     assert time.perf_counter() - start < 0.5
@@ -457,7 +464,7 @@ def test_attack_names_a_block_outside_the_modulus(tmp_path, capsys, monkeypatch)
     blocks[1] = Ciphertext(M + 5)
     Path(ct).write_bytes(encode_ciphertext(blocks, n_payload))
     attacked = []
-    monkeypatch.setattr(juoan2.cli, "lattice_attack", lambda *a, **k: attacked.append(a))
+    monkeypatch.setattr(juoan2.cli, "SubsetSumAttack", lambda *a, **k: attacked.append(a))
     code, out, err = run(capsys, "attack", "--pub", pub, "--ct", ct, "--trials", "0")
     assert (code, out) == (1, "")
     assert err == f"invalid ciphertext: block 1: ciphertext {M + 5} outside [0, {M})\n"
@@ -472,7 +479,7 @@ def test_a_malformed_ciphertext_file_reads_the_same_in_every_command(
     bad, out = tmp_path / "bad.ct", tmp_path / "o"
     bad.write_bytes(b"J2CTgarbage")  # the magic, then 7 of the header's 9 bytes
     attacked = []
-    monkeypatch.setattr(juoan2.cli, "lattice_attack", lambda *a, **k: attacked.append(a))
+    monkeypatch.setattr(juoan2.cli, "SubsetSumAttack", lambda *a, **k: attacked.append(a))
     if command == "decrypt":
         argv = ("decrypt", "--prv", pub[:-4] + ".prv", "--pub", pub,
                 "--in", str(bad), "--out", str(out))
@@ -481,6 +488,60 @@ def test_a_malformed_ciphertext_file_reads_the_same_in_every_command(
     code, stdout, err = run(capsys, *argv)
     assert (code, stdout) == (1, "")
     assert err == "invalid ciphertext: truncated ciphertext header\n"
+    assert not out.exists() and not attacked
+
+
+def test_attack_reduces_the_weight_rows_once_per_key(tmp_path, capsys, monkeypatch):
+    base = str(tmp_path / "key")
+    msg, ct = tmp_path / "m", tmp_path / "c"
+    msg.write_bytes(b"abcd")  # 33 framed bits: three 16-bit blocks
+    run(capsys, "keygen", "-n", "16", "--seed", "5e", "-o", base)
+    run(capsys, "encrypt", "--pub", base + ".pub", "--in", str(msg),
+        "--out", str(ct), "--seed", "06")
+    pub = decode_key(Path(base + ".pub").read_text())
+    blocks, _ = decode_ciphertext(ct.read_bytes())
+    assert len(blocks) == 3
+    weights, var_map = expand_assp_to_ssp(pub)
+    expected = []
+    for idx, block in enumerate(blocks):
+        x = lattice_attack(weights, block.S, pub.M, assp_map=var_map, max_wraps=2)
+        if x is None:
+            expected.append(f"block {idx}: attack failed")
+        else:
+            bits = block_from_kappa(kappa_from_assignment(x, var_map), pub.n_tilde)
+            expected.append(f"block {idx}: recovered bits {''.join(map(str, bits))}")
+    sizes = []
+
+    class CountedBasis(lattice.ReducedBasis):
+        def __init__(self, rows=(), *args, **kwargs):
+            rows = list(rows)
+            sizes.append(len(rows))
+            super().__init__(rows, *args, **kwargs)
+
+    monkeypatch.setattr(lattice, "ReducedBasis", CountedBasis)
+    code, out, err = run(capsys, "attack", "--pub", base + ".pub", "--ct", str(ct),
+                         "--trials", "2")
+    assert out.splitlines() == expected, err
+    assert code == (0 if any("recovered" in line for line in expected) else 1)
+    assert sizes == [len(weights)]
+
+
+@pytest.mark.parametrize("command", ["decrypt", "attack"])
+def test_an_empty_ciphertext_reads_the_same_in_every_command(
+    tmp_path, capsys, monkeypatch, command
+):
+    pub, _ = _key_and_ciphertext(tmp_path, capsys, 8, "")
+    empty, out = tmp_path / "empty.ct", tmp_path / "o"
+    empty.write_bytes(encode_ciphertext([], 8))
+    attacked = []
+    if command == "decrypt":
+        argv = ("decrypt", "--prv", pub[:-4] + ".prv", "--pub", pub,
+                "--in", str(empty), "--out", str(out))
+    else:
+        monkeypatch.setattr(juoan2.cli, "SubsetSumAttack", lambda *a, **k: attacked.append(a))
+        argv = ("attack", "--pub", pub, "--ct", str(empty))
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout, err) == (1, "", "error: empty ciphertext list\n")
     assert not out.exists() and not attacked
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from juoan2 import ParameterError, keygen
 from juoan2.cryptanalysis import (
+    SubsetSumAttack,
     basis_from_generators,
     block_from_kappa,
     build_plain_ssp_lattice,
@@ -316,6 +317,36 @@ def test_lattice_attack_rejects_bad_input():
         lattice_attack((3, 4), 5, 7, max_wraps=-1)
     with pytest.raises(ParameterError):
         lattice_attack((), 0, 7)
+
+
+def test_lattice_attack_refuses_a_weight_outside_the_modulus():
+    # 12 + 20 = 32 = 4 (mod 7) needs m = 4 wraps, past the clamp of
+    # len(weights) - 1 that holds only for weights below M.
+    with pytest.raises(ParameterError, match=r"^weight 0: 12 outside \[0, 7\)$"):
+        lattice_attack((12, 9, 20), 4, 7)
+    with pytest.raises(ParameterError, match=r"^weight 2: -1 outside \[0, 7\)$"):
+        SubsetSumAttack((3, 4, -1, 9), 7)
+
+
+def test_one_attack_object_answers_every_target_as_a_fresh_call():
+    # The pinned n = 4 and n = 8 ASSP keys of test_lattice_attack_outputs_are_pinned
+    # (its block first, then three more), every wrap guess: the calls share
+    # one reduced base, so a call that changed it would change a later answer.
+    from juoan2.encrypt import encrypt_block, extend_block, sample_noise
+
+    for n, keys in ((4, 20), (8, 6)):
+        for seed in range(keys):
+            rng = Random(1000 * n + seed)
+            pub, _ = keygen(n, rng)
+            targets = []
+            for _ in range(4):
+                block = extend_block([rng.randint(0, 1) for _ in range(n)], rng)
+                targets.append(encrypt_block(pub, block, sample_noise(block.n_total, rng)).S)
+            weights, var_map = expand_assp_to_ssp(pub)
+            fresh = [lattice_attack(weights, S, pub.M, assp_map=var_map) for S in targets]
+            attack = SubsetSumAttack(weights, pub.M, assp_map=var_map)
+            assert [attack(S) for S in targets] == fresh
+            assert [attack(S) for S in reversed(targets)] == fresh[::-1]
 
 
 def test_assp_attack_candidates_must_be_structurally_consistent():
