@@ -47,10 +47,10 @@ _REF_BRANCHES = ("one", "noise", "noise", "one", "skip", "one", "skip", "one")
 _MAX_KEYGEN_N = 4096
 
 # Largest expanded weight count `attack` takes on: 231 at n=32, 552 at n=64.
-# The weight rows are reduced once per key (about 0.5 s at n=32, 23 s at
-# n=64); each block then appends a row for each of up to one wrap guess per
-# weight (about 9 ms at n=32, 0.2 s at n=64), about 2.5 s at n=32 and 2
-# minutes at n=64 a block, and a message has many, so larger keys are refused.
+# The weight rows are reduced once per key (about 0.5 s at n=32, 20 s at
+# n=64); each block then appends a row per wrap guess up to (sum of weights
+# - S) // M, about half the weight count: about 1.8 s at n=32 and 66 s at
+# n=64 a block, and a message has many, so larger keys are refused.
 _MAX_ATTACK_WEIGHTS = 256
 
 
@@ -239,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pub", required=True)
     p.add_argument("--ct", required=True)
     p.add_argument("--trials", type=int,
-                   help="cap on wraparound guesses (at most one per expanded weight)")
+                   help="cap on wraparound guesses (by default every m up to "
+                   "(sum of weights - S) // M)")
     p.set_defaults(func=_cmd_attack)
 
     p = sub.add_parser("oracle", help="brute-force all preimages of a sum")

@@ -65,12 +65,13 @@ def run_assp_attack_trial(
 ) -> ExperimentRow:
     """Attack a genuine ciphertext via the bit-expanded subset-sum lattice.
 
-    `max_wraps` caps the wraparound guesses (default and ceiling: one per
-    expanded weight), and each guess costs one row appended to the reduced
-    weight rows of the expanded exact-sum lattice: about 9 ms at n = 32
-    (231 weights) against a 0.5-s weight-row reduction, about 3 s for a
-    block with every guess.  The expanded instance sits far above density
-    1, so extra guesses buy nothing but wall time.
+    `max_wraps` caps the wraparound guesses (by default every m up to
+    (sum(weights) - S) // M, about half the expanded weight count), and each
+    guess costs one row appended to the reduced weight rows of the expanded
+    exact-sum lattice: about 9 ms at n = 32 (231 weights) against a 0.5-s
+    weight-row reduction, about 2 s for a block with every guess.  The
+    expanded instance sits far above density 1, so extra guesses buy
+    nothing but wall time.
     """
     pub, _ = keygen(n_payload, rng)
     block = extend_block([rng.randint(0, 1) for _ in range(n_payload)], rng)

@@ -35,6 +35,11 @@ def _embedding_rows(weights: Sequence[int], target: int) -> tuple[list[tuple[int
     return rows, scale
 
 
+def _check_target(S: int, M: int) -> None:
+    if not 0 <= S < M:
+        raise ParameterError(f"target {S} outside [0, {M})")
+
+
 def build_ssp_lattice(weights: Sequence[int], S: int, M: int) -> IntegerLattice:
     """Doubled-coordinate embedding of the modular subset sum into a lattice.
 
@@ -43,8 +48,7 @@ def build_ssp_lattice(weights: Sequence[int], S: int, M: int) -> IntegerLattice:
     A 0/1 solution x appears as the vector (2x - 1 | 0) of norm sqrt(n).
     """
     rows, scale = _embedding_rows(weights, S)
-    if not 0 <= S < M:
-        raise ParameterError(f"target {S} outside [0, {M})")
+    _check_target(S, M)
     rows.append(tuple([0] * len(weights) + [scale * M]))
     return IntegerLattice(tuple(rows))
 
@@ -162,12 +166,11 @@ class SubsetSumAttack:
     copying the base.  When 2*(S + m*M) == sum(weights) the target row is
     half the sum of the weight rows, so the last weight row is twice the
     target row minus the others, and that guess reduces the same lattice
-    from the other weight rows and the target row.  Each weight lies in
-    [0, M), so m < len(weights) (a larger m makes the target exceed the sum
-    of all weights), and `max_wraps`, which caps the guesses, is clamped to
-    len(weights) - 1, its default.  Raises ParameterError when max_wraps is
-    negative or a weight lies outside [0, M), and, on a call, when S is
-    outside [0, M).
+    from the other weight rows and the target row.  The guesses stop at
+    m = (sum(weights) - S) // M, or at `max_wraps` if that is smaller: the
+    weights are >= 0, so the lattice of a target above their sum holds no
+    (+-1 | 0) vector.  Raises ParameterError when max_wraps is negative or a
+    weight lies outside [0, M), and, on a call, when S is outside [0, M).
     """
 
     def __init__(self, weights: Sequence[int], M: int,
@@ -180,17 +183,15 @@ class SubsetSumAttack:
                 raise ParameterError(f"weight {i}: {w} outside [0, {M})")
         rows, self._scale = _embedding_rows(self.weights, 0)
         self._weight_rows, self._ones = rows[:-1], rows[-1][:-1]
-        ceiling = len(self.weights) - 1
-        self.max_wraps = ceiling if max_wraps is None else min(max_wraps, ceiling)
+        self.max_wraps = sum(self.weights) // M if max_wraps is None else max_wraps
         self.M = M
         self.assp_map = assp_map
         self._base = ReducedBasis(self._weight_rows, DEFAULT_DELTA)
 
     def __call__(self, S: int) -> tuple[int, ...] | None:
-        if not 0 <= S < self.M:
-            raise ParameterError(f"target {S} outside [0, {self.M})")
+        _check_target(S, self.M)
         total = sum(self.weights)
-        for m in range(self.max_wraps + 1):
+        for m in range(min((total - S) // self.M, self.max_wraps) + 1):
             T = S + m * self.M
             target_row = self._ones + (self._scale * T,)
             if 2 * T == total:
@@ -211,4 +212,5 @@ def lattice_attack(
     max_wraps: int | None = None,
 ) -> tuple[int, ...] | None:
     """The one-call form of `SubsetSumAttack`: attack the one target S."""
+    _check_target(S, M)  # before the weight rows are reduced
     return SubsetSumAttack(weights, M, assp_map, max_wraps)(S)

@@ -1,5 +1,6 @@
 """Key and ciphertext serialization: round trips, validation, tamper rejection."""
 
+import re
 import tracemalloc
 import warnings
 from random import Random
@@ -65,12 +66,21 @@ def test_encoding_is_deterministic(pair):
         lambda t: t + "extra=1\n",
         lambda t: t.replace("M=", "M=zz", 1),
         lambda t: "",
+        lambda t: t.replace("n=", "n=x", 1),
+        lambda t: t.replace("np=", "np=x", 1),
+        lambda t: re.sub("C=[0-9a-f]+", "C=0", t),
+        lambda t: re.sub("C=[0-9a-f]+", "C=" + re.search("M=([0-9a-f]+)", t)[1], t),
     ],
 )
 def test_decode_rejects_tampered_keys(pair, mutate):
     text = encode_key(pair[0])
     with pytest.raises(DecodeError):
         decode_key(mutate(text))
+
+
+def test_encode_key_refuses_a_non_key():
+    with pytest.raises(TypeError, match="^not a key: Ciphertext$"):
+        encode_key(Ciphertext(5))
 
 
 def test_decode_rejects_broken_sequence(pair):

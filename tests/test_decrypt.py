@@ -101,6 +101,20 @@ def test_audit_finds_every_verified_plaintext(n):
             assert audited == {bits for bits, _ in brute_force_assp(pub, S) if any(bits)}, S
 
 
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda prv, pub: decrypt_block(prv, Ciphertext(prv.M), pub), r"^ciphertext 3581 outside \[0, 3581\)$"),
+        (lambda prv, pub: decrypt_block(prv, Ciphertext(-1), pub), r"^ciphertext -1 outside \[0, 3581\)$"),
+        (lambda prv, pub: next(decompose_candidates(prv.A, -1)), "^target must be >= 0, got -1$"),
+    ],
+    ids=["S=M", "S=-1", "negative-target"],
+)
+def test_decryption_refuses_an_out_of_range_target(ref_prv, ref_pub, call, message):
+    with pytest.raises(ParameterError, match=message):
+        call(ref_prv, ref_pub)
+
+
 def test_default_k_max():
     assert default_k_max(8) == 8 * 8 * 9
 

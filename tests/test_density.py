@@ -82,6 +82,19 @@ def test_density_rejects_an_n_too_large_for_a_float(density, n):
         density(n, 20)
 
 
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda: ssp_density(()), "need at least one weight, all positive"),
+        (lambda: assp_density(8, 1), "modulus must be >= 2, got 1"),
+    ],
+    ids=["no-weights", "modulus-1"],
+)
+def test_density_rejects_degenerate_inputs(call, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        call()
+
+
 def test_ambiguity_estimate_formula():
     assert ambiguity_estimate(6, 3000) == 728 / 6000
     assert ambiguity_estimate(8, 3581) == (3**8 - 1) / (2 * 3581)

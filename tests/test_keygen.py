@@ -144,6 +144,21 @@ def test_keygen_rejects_bad_sizes(bad_n):
         keygen(bad_n, Random(0))
 
 
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda: gen_extra_superincreasing(1, Random(0)), "n_tilde must be >= 2, got 1"),
+        (lambda: sample_units(2, Random(0)), "modulus must be >= 3, got 2"),
+        (lambda: sample_lever(0, Random(0)), "n_tilde must be >= 1, got 0"),
+        (lambda: derive_public((1, 3), 5, 2, (1, 2), 18, 2), "delta is not invertible mod M"),
+    ],
+    ids=["sequence", "units", "lever", "delta"],
+)
+def test_key_parts_reject_bad_inputs(call, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        call()
+
+
 class TopDraws:
     """A stub rng whose randint(a, b) always returns b: every draw at its maximum."""
 

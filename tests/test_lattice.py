@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from juoan2 import ParameterError, keygen
 from juoan2.cryptanalysis import (
+    IntegerLattice,
     SubsetSumAttack,
     basis_from_generators,
     block_from_kappa,
@@ -247,7 +248,7 @@ def test_lattice_attack_reduces_weight_rows_once_and_appends_once_per_guess(monk
     # Even weights, even modulus, odd target: no guess can succeed, so all are tried.
     rng = Random(5)
     weights = tuple(2 * rng.randint(1, 1 << 15) for _ in range(12))
-    for max_wraps, tried in ((3, 4), (0, 1), (None, 12)):
+    for max_wraps, tried in ((3, 4), (0, 1), (None, 4)):
         counts.update(base=0, appended=0, cold=0)
         assert lattice_attack(weights, 12345, 1 << 17, max_wraps=max_wraps) is None
         assert counts == {"base": 1, "appended": tried, "cold": 0}
@@ -289,7 +290,61 @@ def test_lattice_attack_clamps_max_wraps(monkeypatch):
     weights = tuple(2 * rng.randint(1, 1 << 15) for _ in range(12))
     guesses.clear()
     assert lattice_attack(weights, 12345, 1 << 17, max_wraps=10**9) is None
-    assert len(guesses) == 12
+    assert len(guesses) == 4
+
+
+def every_guess_attack(weights, S, M, assp_map=None):
+    """The wrap-guess loop with one guess per weight, m = 0 ... len(weights) - 1,
+    half-sum guess included, each guess's lattice reduced cold."""
+    for m in range(len(weights)):
+        T = S + m * M
+        rows = build_plain_ssp_lattice(weights, T).rows
+        if 2 * T == sum(weights):  # the last weight row depends on the others
+            rows = rows[:-2] + rows[-1:]
+        x = lattice._scan_reduced(lll_reduce(IntegerLattice(rows)), weights, S, M, assp_map)
+        if x is not None:
+            return x
+    return None
+
+
+def test_guesses_past_the_weight_sum_change_no_result(monkeypatch):
+    # lattice_attack stops at m = (sum(w) - S) // M; the loop with one guess
+    # per weight returns the same on solvable and unsolvable instances alike.
+    from juoan2.encrypt import encrypt_block, extend_block, sample_noise
+
+    instances = [planted_ssp_instance(20, bits, Random(seed))
+                 for bits, seeds in ((40, range(10)), (22, range(100, 120))) for seed in seeds]
+    instances += [half_sum_instance(16, 32, Random(seed)) for seed in range(3)]
+    cases = [(weights, S, M, None) for weights, _, S, M in instances]
+    rng = Random(5)
+    even = tuple(2 * rng.randint(1, 1 << 15) for _ in range(12))
+    cases.append((even, 12345, 1 << 17, None))  # even weights, odd target: no solution
+    small = tuple(rng.randint(1, 1 << 12) for _ in range(12))
+    cases.append((small, sum(small) + 1, 1 << 17, None))
+    for n, keys in ((4, 10), (8, 3)):
+        for seed in range(keys):
+            rng = Random(1000 * n + seed)
+            pub, _ = keygen(n, rng)
+            block = extend_block([rng.randint(0, 1) for _ in range(n)], rng)
+            ct = encrypt_block(pub, block, sample_noise(block.n_total, rng))
+            weights, var_map = expand_assp_to_ssp(pub)
+            cases.append((weights, ct.S, pub.M, var_map))
+    for weights, S, M, assp_map in cases:
+        assert lattice_attack(weights, S, M, assp_map) == every_guess_attack(weights, S, M, assp_map)
+    # A target above sum(weights) gets no guess; one guess per weight appended 12 rows.
+    counts = count_reductions(monkeypatch)
+    assert lattice_attack(small, sum(small) + 1, 1 << 17) is None
+    assert counts == {"base": 1, "appended": 0, "cold": 0}
+
+
+def test_lattice_attack_refuses_a_target_outside_the_modulus_before_reducing(monkeypatch):
+    pub, _ = keygen(16, Random(1))
+    weights, _ = expand_assp_to_ssp(pub)
+    counts = count_reductions(monkeypatch)
+    for S in (pub.M, -1):
+        with pytest.raises(ParameterError, match=rf"^target {S} outside \[0, {pub.M}\)$"):
+            lattice_attack(weights, S, pub.M)
+    assert counts["base"] == 0
 
 
 def test_lattice_attack_survives_a_half_sum_wrap_guess():
@@ -372,11 +427,11 @@ def brute_force_target(pub):
 def test_lattice_attack_outputs_are_pinned():
     # The return values on fixed instances, hashed: planted SSP at n = 20
     # with 40-bit weights (the SSP trial, every one recovered) and 22-bit
-    # weights (14 of 20, the rest try all 20 wrap guesses), genuine ASSP
-    # blocks at n = 4 (16 of 20) and n = 8 with every wrap guess, and the
-    # ASSP trial at n = 16 with max_wraps = 8.  The hash was taken with every
-    # row incorporated by the general O(k^2) recurrence, so it pins the fast
-    # paths to the same reductions.
+    # weights (14 of 20, the rest try every wrap guess up to (sum(w) - S) // M),
+    # genuine ASSP blocks at n = 4 (16 of 20) and n = 8 with every wrap guess,
+    # and the ASSP trial at n = 16 with max_wraps = 8.  The hash was taken
+    # with every row incorporated by the general O(k^2) recurrence, so it
+    # pins the fast paths to the same reductions.
     from juoan2.encrypt import encrypt_block, extend_block, sample_noise
 
     out = []

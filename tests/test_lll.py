@@ -424,6 +424,12 @@ def test_integral_checks_reject_dependent_rows(rows):
         lovasz_holds(rows)
 
 
+def test_integral_checks_reject_rows_of_unequal_length():
+    for check in (is_size_reduced, lovasz_holds):
+        with pytest.raises(ParameterError, match="^rows have unequal lengths$"):
+            check(((1, 0), (0, 1, 0)))
+
+
 def transform_pairs(basis):
     """(original, other) lattice pairs around a basis, some related by a
     unimodular transform and some not."""

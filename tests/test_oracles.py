@@ -74,6 +74,25 @@ def test_property2_limit():
         check_property2(seq, 0)
 
 
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda: check_property2(REF_A, -1), r"subset size -1 outside \[0, 8\]"),
+        (lambda: check_property2(REF_A, 9), r"subset size 9 outside \[0, 8\]"),
+        (lambda: search_alternative_keys(PublicKey((1, 3), (1 << 16) + 1, 2), 4),
+         "exhaustive key search is bounded"),
+        (lambda: search_alternative_keys(PublicKey((1, 3, 5, 7, 9), 17, 3), 5),
+         "exhaustive key search is bounded"),
+        (lambda: search_alternative_keys(PublicKey((1, 3), 17, 2), 1),
+         "lever bound smaller than the position count"),
+    ],
+    ids=["m=-1", "m=n+1", "M-bound", "n-bound", "lever-bound"],
+)
+def test_oracles_refuse_out_of_range_arguments(call, message):
+    with pytest.raises(ParameterError, match=message):
+        call()
+
+
 def test_alternative_key_search_finds_genuine_key():
     M, w, delta = 17, 5, 3
     pub = derive_public((1, 3), w, delta, (1, 2), M, n_payload=2)
