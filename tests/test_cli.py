@@ -16,9 +16,13 @@ from juoan2 import (
     decode_key,
     encode_ciphertext,
     encode_key,
+    encrypt_block,
+    extend_block,
+    sample_noise,
 )
 from juoan2.cli import main
 from juoan2.decrypt import audit_decrypt_block, decrypt_block
+from juoan2.encrypt import compute_L
 from juoan2.cryptanalysis import (
     ambiguity_estimate,
     block_from_kappa,
@@ -36,6 +40,7 @@ from conftest import (
     REF_S,
     REFUSED_PRIVATE_KEYS,
     encrypt_payloads,
+    time_limit,
 )
 
 
@@ -239,6 +244,24 @@ def test_oracle_rejects_out_of_range_sum(tmp_path, capsys, ref_pub):
     with pytest.warns(Warning):
         code, _, err = run(capsys, "oracle", "--pub", str(pub_file), "--S", "99999")
     assert code == 1
+    assert "target 99999 outside [0, 3581)" in err
+
+
+def test_oracle_prints_the_genuine_preimage_at_n_10(tmp_path, capsys):
+    base = str(tmp_path / "key")
+    assert run(capsys, "keygen", "-n", "10", "--seed", "0a", "-o", base)[0] == 0
+    pub = decode_key(Path(base + ".pub").read_text())
+    rng = Random(4)
+    block = extend_block([rng.randint(0, 1) for _ in range(10)], rng)
+    noise = sample_noise(15, rng)
+    S = encrypt_block(pub, block, noise).S
+    levels = compute_L(block.bits)
+    included = [i + 1 for i in range(15) if noise.bits[i] and not block.bits[i] and levels[i]]
+    with time_limit(2):  # n_tilde = 15
+        code, out, err = run(capsys, "oracle", "--pub", base + ".pub", "--S", str(S))
+    assert code == 0, err
+    bits = "".join(map(str, block.bits))
+    assert f"bits={bits} noise_positions={','.join(map(str, included)) or '-'}" in out
 
 
 def test_encrypt_with_unpadded_key_names_the_layout(tmp_path, capsys, ref_pub):

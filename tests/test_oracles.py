@@ -13,10 +13,24 @@ from juoan2.cryptanalysis import (
     ciphertext_multiplicity,
     search_alternative_keys,
 )
-from juoan2.encrypt import BitBlock, NoiseVector, anomalous_sum, compute_L, encrypt_block, extend_block
+from juoan2.encrypt import (
+    BitBlock,
+    NoiseVector,
+    anomalous_sum,
+    compute_L,
+    encrypt_block,
+    extend_block,
+    sample_noise,
+)
 from juoan2.keygen import PublicKey, derive_public
 
-from conftest import ALT_SEQ, REF_A, REF_BITS, REF_S
+from conftest import ALT_SEQ, REF_A, REF_BITS, REF_M, REF_S, time_limit
+
+
+def effective_noise(bits, noise):
+    """The 1-based noise positions that count: a zero bit with a set bit at or above it."""
+    levels = compute_L(bits)
+    return frozenset(i + 1 for i in range(len(bits)) if noise[i] and not bits[i] and levels[i] > 0)
 
 
 def test_reference_sum_has_unique_preimage(ref_pub):
@@ -42,17 +56,47 @@ def test_oracle_agrees_with_encrypt_on_small_key():
         noise = tuple(rng.randint(0, 1) for _ in range(6))
         S = encrypt_block(pub, BitBlock(bits, 4), NoiseVector(noise)).S
         hits = brute_force_assp(pub, S)
-        levels = [sum(bits[j] for j in range(i, 6)) for i in range(6)]
-        effective = frozenset(
-            i + 1 for i in range(6) if noise[i] and not bits[i] and levels[i] > 0
-        )
-        assert (bits, effective) in hits
+        assert (bits, effective_noise(bits, noise)) in hits
 
 
 def test_brute_force_bound():
     pub = PublicKey((1,) * 17, 1 << 40, 10)
     with pytest.raises(ParameterError):
         brute_force_assp(pub, 0)
+
+
+@pytest.mark.parametrize("S", [-1, -377, REF_M, REF_S + REF_M])
+def test_brute_force_refuses_a_sum_outside_the_modulus(ref_pub, S):
+    # reduced mod M, REF_S + M and -377 would both match the reference preimage
+    with pytest.raises(ParameterError, match=rf"target {S} outside \[0, {REF_M}\)"):
+        brute_force_assp(ref_pub, S)
+
+
+def test_brute_force_answers_a_genuine_block_at_n_tilde_15():
+    rng = Random(12)
+    pub, _ = keygen(10, rng)
+    block = extend_block([rng.randint(0, 1) for _ in range(10)], rng)
+    noise = sample_noise(15, rng)
+    S = encrypt_block(pub, block, noise).S
+    with time_limit(2):
+        hits = brute_force_assp(pub, S)
+    assert (block.bits, effective_noise(block.bits, noise.bits)) in hits
+    for bits, included in hits:
+        assert anomalous_sum(pub, bits, sorted(included)) == S
+
+
+def test_brute_force_answers_at_its_bound():
+    # n_tilde = 16 = MAX_BRUTE_N is answered, not refused; a walk over all 3^16
+    # patterns takes about 3.5 s
+    pub = PublicKey(tuple(3**i % 65521 for i in range(1, 17)), 65521, 16)
+    bits = (0, 1, 1, 0, 0, 0, 1, 0, 1, 1, 0, 1, 0, 0, 1, 0)
+    included = frozenset({1, 4, 6, 11})
+    S = anomalous_sum(pub, bits, included)
+    with time_limit(2):
+        hits = brute_force_assp(pub, S)
+    assert (bits, included) in hits
+    for hit_bits, hit_noise in hits:
+        assert anomalous_sum(pub, hit_bits, sorted(hit_noise)) == S
 
 
 @pytest.mark.parametrize("raw", [REF_A, ALT_SEQ])
@@ -160,6 +204,36 @@ def test_brute_force_matches_the_mask_loop_on_every_sum():
     for pub in (keygen(4, Random(10))[0], PublicKey((1, 2, 3, 5, 8, 13), 17, 4)):
         for S in range(pub.M):
             assert brute_force_assp(pub, S) == reference_brute_force_assp(pub, S), S
+
+
+def test_brute_force_matches_the_mask_loop_at_odd_n_tilde():
+    # n_tilde = 9 splits into halves of 4 and 5 positions
+    rng = Random(13)
+    for _ in range(2):
+        pub, _ = keygen(6, rng)
+        targets = [rng.randrange(pub.M) for _ in range(3)]
+        for _ in range(3):
+            block = extend_block([rng.randint(0, 1) for _ in range(6)], rng)
+            targets.append(encrypt_block(pub, block, sample_noise(9, rng)).S)
+        for S in targets:
+            assert brute_force_assp(pub, S) == reference_brute_force_assp(pub, S), S
+
+
+@pytest.mark.parametrize(
+    "pub",
+    [
+        PublicKey((3,), 5, 1),
+        PublicKey((4, 4), 7, 2),
+        PublicKey((5, 9), 17, 2),
+        PublicKey((1, 2, 3), 4, 2),
+        PublicKey((6, 11, 13), 17, 2),
+    ],
+    ids=["n1", "n2-equal", "n2", "n3-M4", "n3"],
+)
+def test_brute_force_matches_the_mask_loop_on_degenerate_splits(pub):
+    # halves of zero or one position, and moduli small enough that hits collide
+    for S in range(pub.M):
+        assert brute_force_assp(pub, S) == reference_brute_force_assp(pub, S), S
 
 
 def test_multiplicity_matches_the_set_doubling():
