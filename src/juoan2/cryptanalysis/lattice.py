@@ -114,19 +114,6 @@ def block_from_kappa(kappa: dict[int, int], n_tilde: int) -> tuple[int, ...] | N
     return tuple(bits)
 
 
-def _solution_from_vector(
-    vec: Sequence[int], n: int, weights: Sequence[int], S: int, M: int
-) -> tuple[int, ...] | None:
-    """Decode a reduced vector of shape +-(2x - 1 | 0) into verified bits x."""
-    if vec[n] != 0 or any(abs(v) != 1 for v in vec[:n]):
-        return None
-    for sign in (1, -1):
-        x = tuple((sign * v + 1) // 2 for v in vec[:n])
-        if any(x) and sum(b * w for b, w in zip(x, weights)) % M == S:
-            return x
-    return None
-
-
 def _scan_reduced(
     reduced: IntegerLattice,
     weights: Sequence[int],
@@ -134,18 +121,25 @@ def _scan_reduced(
     M: int,
     assp_map: VarMap | None,
 ) -> tuple[int, ...] | None:
+    """The first verified bits x read off a reduced row +-(2x - 1 | 0), or None.
+
+    Both signs of a row are tried, as both pass the sum check when
+    2S == sum(weights) (mod M) and only one may decode to a block.
+    """
     n = len(weights)
     if assp_map is not None:
         n_tilde = max(i for i, _ in assp_map)
     for vec in reduced.rows:
-        x = _solution_from_vector(vec, n, weights, S, M)
-        if x is None:
+        if vec[n] != 0 or any(abs(v) != 1 for v in vec[:n]):
             continue
-        if assp_map is not None:
-            # x is nonzero, so kappa is too, and its block is None or has a set bit
-            if block_from_kappa(kappa_from_assignment(x, assp_map), n_tilde) is None:
+        for sign in (1, -1):
+            x = tuple((sign * v + 1) // 2 for v in vec[:n])
+            if not any(x) or sum(b * w for b, w in zip(x, weights)) % M != S:
                 continue
-        return x
+            # x is nonzero, so kappa is too, and its block is None or has a set bit
+            if assp_map is None or block_from_kappa(
+                    kappa_from_assignment(x, assp_map), n_tilde) is not None:
+                return x
     return None
 
 

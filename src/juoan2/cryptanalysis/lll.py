@@ -12,7 +12,8 @@ reduced basis without reducing the rest again, and the reducedness checks
 `is_size_reduced` and `lovasz_holds` read it directly.  The coefficients are
 linear in the row, so `ReducedBasis` also keeps them for the unit vector of
 the last column, the subset-sum embedding column, and incorporates the
-weight and target rows of the attack lattices in O(k) from them.
+weight and target rows of the attack lattices in O(k) from them (the
+support union that tells a weight row is read from the current rows, not kept).
 The reducer stores basis rows sparsely, as {column: nonzero entry}: the
 subset-sum bases of the attack stay mostly zero while they are reduced, so a
 row update or a dot product costs the nonzero entries of a row, not its
@@ -175,7 +176,8 @@ class ReducedBasis:
     lambda(x) = lambda(r) + a*lambda(e), where
     - lambda(r) = 0 when r is zero on every used column, the union of the
       supports of the rows given (a weight row (2e_i | s*w_i)); no
-      unimodular transform changes that union;
+      unimodular transform changes that union, so it is read from the
+      current rows, not kept;
     - `appended` computes lambda(r) by the general recurrence and keeps it
       for the last r it met, so the rows that differ only in the last
       column (every wrap guess's target row (1, ..., 1 | s*T)) pay for it
@@ -202,7 +204,6 @@ class ReducedBasis:
         self._d = [1]  # integral Gram-Schmidt data, as `_coefficients` defines it
         self._lam: list[list[int]] = []
         self._probe: list[int] = []  # lambda_j(e) for e the unit vector of the last column
-        self._used: frozenset[int] = frozenset()  # the union of the rows' supports
         self._shared: tuple[tuple[int, ...], list[int]] | None = None  # see `appended`
         for row in rows:
             self._push(row)
@@ -238,13 +239,13 @@ class ReducedBasis:
         new._d = list(self._d)
         new._lam = [list(r) for r in self._lam]
         new._probe = list(self._probe)
-        new._used = self._used
         new._push(row, head)
         return new
 
     def _fresh(self, row: Sequence[int]) -> bool:
-        """Whether `row` is zero on every used column but the last."""
-        return self._used.isdisjoint(c for c in range(len(row) - 1) if row[c])
+        """Whether `row` is zero on every column but the last that a row of the basis uses."""
+        cols = {c for c in range(len(row) - 1) if row[c]}
+        return all(r.keys().isdisjoint(cols) for r in self._b)
 
     def _push(self, row: Sequence[int], head: list[int] | None = None) -> None:
         """Join `row` and reduce; `head` is lambda of `row` with its last entry set to 0, if known."""
@@ -261,7 +262,6 @@ class ReducedBasis:
             mu = _coefficients(row, b, d, lam)
         _join(row, mu, b, d, lam)
         probe.append(_projected(row[-1], probe, mu, d))  # lambda_k(e) for the new row b_k
-        self._used = self._used.union(c for c, x in enumerate(row) if x)
         if len(b) > 1:
             self._reduce_last()
 

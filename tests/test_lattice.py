@@ -417,6 +417,21 @@ def test_assp_attack_candidates_must_be_structurally_consistent():
         assert block_from_kappa(kappa, pub.n_tilde) is not None
 
 
+@pytest.mark.parametrize("seed", [12, 28, 77, 130, 214])
+def test_assp_attack_tries_both_signs_of_a_row(seed):
+    # With an even weight sum and S = sum(w) / 2 mod M, x and its complement
+    # both sum to S, so both signs of a reduced row pass the sum check; on
+    # these keys the first sign does not decode to a block and the second does.
+    pub, _ = keygen(4, Random(seed))
+    weights, var_map = expand_assp_to_ssp(pub)
+    S = sum(weights) // 2 % pub.M
+    got = lattice_attack(weights, S, pub.M, assp_map=var_map)
+    assert got is not None
+    assert sum(b * w for b, w in zip(got, weights)) % pub.M == S
+    block = block_from_kappa(kappa_from_assignment(got, var_map), pub.n_tilde)
+    assert block in {bits for bits, _ in brute_force_assp(pub, S)}
+
+
 def brute_force_target(pub):
     from juoan2.encrypt import BitBlock, NoiseVector, encrypt_block
 
