@@ -237,8 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pub", required=True)
     p.add_argument("--ct", required=True)
     p.add_argument("--trials", type=int,
-                   help="cap on wraparound guesses (by default every m up to "
-                   "(sum of weights - S) // M)")
+                   help="cap on the wraparound count m, counted from 0 (by default "
+                   "every m up to (sum of weights - S) // M); the guesses run "
+                   "middle-out, nearest 2(S + mM) = sum of weights first")
     p.set_defaults(func=_cmd_attack)
 
     p = sub.add_parser("oracle", help="brute-force all preimages of a sum")

@@ -65,13 +65,17 @@ def run_assp_attack_trial(
 ) -> ExperimentRow:
     """Attack a genuine ciphertext via the bit-expanded subset-sum lattice.
 
-    `max_wraps` caps the wraparound guesses (by default every m up to
-    (sum(weights) - S) // M, about half the expanded weight count), and each
-    guess costs one row appended to the reduced weight rows of the expanded
-    exact-sum lattice: about 9 ms at n = 32 (231 weights) against a 0.5-s
-    weight-row reduction, about 2 s for a block with every guess.  The
-    expanded instance sits far above density 1, so extra guesses buy
-    nothing but wall time.
+    `max_wraps` caps the wraparound guesses at m <= max_wraps, counted from
+    0 (by default every m up to (sum(weights) - S) // M, about half the
+    expanded weight count); the attack tries them middle-out, nearest
+    2*(S + m*M) = sum(weights) first.  Each guess costs one row appended to
+    the reduced weight rows of the expanded exact-sum lattice: about 9 ms at
+    n = 32 (231 weights) against a 0.5-s weight-row reduction, about 2 s for
+    a block with every guess.  The expanded instance sits far above density
+    1, so extra guesses buy nothing but wall time.  A cap of 8 almost never
+    holds the genuine guess: over 50 blocks at n = 16, built here from
+    Random(0) ... Random(49), the true m had median 16 and minimum 8, the
+    last guess had median 45, and m <= 8 held in 2 of 50.
     """
     pub, _ = keygen(n_payload, rng)
     block = extend_block([rng.randint(0, 1) for _ in range(n_payload)], rng)

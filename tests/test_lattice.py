@@ -257,13 +257,13 @@ def test_lattice_attack_reduces_weight_rows_once_and_appends_once_per_guess(monk
         counts.update(base=0, appended=0, cold=0)
         assert lattice_attack(weights, S, M) is not None
         assert counts["base"] == 1 and counts["appended"] >= 1 and counts["cold"] == 0
-    # A half-sum guess m (the m guesses before it appended to the base) gets
-    # a second ReducedBasis, of the other weight rows and the target row.
+    # A half-sum guess gets a second ReducedBasis, of the other weight rows and
+    # the target row; it is the middle guess, so it is tried first.
     for seed in range(5):
         weights, _, S, M = half_sum_instance(16, 32, Random(seed))
         counts.update(base=0, appended=0, cold=0)
         assert lattice_attack(weights, S, M) is not None
-        assert counts == {"base": 2, "appended": sum(weights) // 2 // M, "cold": 0}
+        assert counts == {"base": 2, "appended": 0, "cold": 0}
 
 
 def test_lattice_attack_clamps_max_wraps(monkeypatch):
@@ -295,11 +295,15 @@ def test_lattice_attack_clamps_max_wraps(monkeypatch):
 
 def every_guess_attack(weights, S, M, assp_map=None):
     """The wrap-guess loop with one guess per weight, m = 0 ... len(weights) - 1,
-    half-sum guess included, each guess's lattice reduced cold."""
-    for m in range(len(weights)):
+    middle-out, half-sum guess included, each guess's lattice reduced cold.
+
+    A guess past sum(weights) has |2T - sum(weights)| > sum(weights), so it
+    sorts after every guess the attack may try."""
+    total = sum(weights)
+    for m in sorted(range(len(weights)), key=lambda m: (abs(2 * (S + m * M) - total), m)):
         T = S + m * M
         rows = build_plain_ssp_lattice(weights, T).rows
-        if 2 * T == sum(weights):  # the last weight row depends on the others
+        if 2 * T == total:  # the last weight row depends on the others
             rows = rows[:-2] + rows[-1:]
         x = lattice._scan_reduced(lll_reduce(IntegerLattice(rows)), weights, S, M, assp_map)
         if x is not None:
@@ -335,6 +339,50 @@ def test_guesses_past_the_weight_sum_change_no_result(monkeypatch):
     counts = count_reductions(monkeypatch)
     assert lattice_attack(small, sum(small) + 1, 1 << 17) is None
     assert counts == {"base": 1, "appended": 0, "cold": 0}
+
+
+def test_wrap_guesses_run_middle_out(monkeypatch):
+    targets = []
+    appended = lattice.ReducedBasis.appended
+
+    def spied(self, row):
+        targets.append(row[-1])
+        return appended(self, row)
+
+    monkeypatch.setattr(lattice.ReducedBasis, "appended", spied)
+
+    def guesses(weights, S, M, **kwargs):
+        targets.clear()
+        x = lattice_attack(weights, S, M, **kwargs)
+        scale = lattice._embedding_rows(weights, 0)[1]
+        return x, [(t // scale - S) // M for t in targets]
+
+    # Even weights, even modulus, odd target: no guess succeeds, so all are
+    # tried.  With S = 9689, sum(w) = 2S + 3M, so m and 3 - m tie.
+    rng = Random(5)
+    weights = tuple(2 * rng.randint(1, 1 << 15) for _ in range(12))
+    total, M = sum(weights), 1 << 17
+    assert total == 412_594
+    for S in (12_345, 9689):
+        last = (total - S) // M
+        x, tried = guesses(weights, S, M)
+        assert x is None and sorted(tried) == list(range(last + 1)) == [0, 1, 2, 3]
+        keys = [(abs(2 * (S + m * M) - total), m) for m in tried]
+        assert keys == sorted(keys)
+        assert tried == [1, 2, 0, 3]
+    # the cap still counts m from 0
+    assert guesses(weights, 12_345, M, max_wraps=1) == (None, [1, 0])
+    assert guesses(weights, 12_345, M, max_wraps=0) == (None, [0])
+    # On planted 40-bit instances the planted guess m* is the one that solves,
+    # after every guess ranked before it in middle-out order.
+    for seed in range(10):
+        weights, planted, S, M = planted_ssp_instance(20, 40, Random(seed))
+        total = sum(weights)
+        order = sorted(range((total - S) // M + 1), key=lambda m: (abs(2 * (S + m * M) - total), m))
+        m_star = (sum(b * w for b, w in zip(planted, weights)) - S) // M
+        x, tried = guesses(weights, S, M)
+        assert x == planted
+        assert tried == order[:order.index(m_star) + 1]
 
 
 def test_lattice_attack_refuses_a_target_outside_the_modulus_before_reducing(monkeypatch):
@@ -446,14 +494,18 @@ def test_lattice_attack_outputs_are_pinned():
     # genuine ASSP blocks at n = 4 (16 of 20) and n = 8 with every wrap guess,
     # and the ASSP trial at n = 16 with max_wraps = 8.  The hash was taken
     # with every row incorporated by the general O(k^2) recurrence, so it
-    # pins the fast paths to the same reductions.
+    # pins the fast paths to the same reductions.  Trying the wrap guesses
+    # middle-out changed four outputs, all on instances with more than one
+    # solution (22-bit seeds 101, 108 and 109, and the n = 4 key Random(4017));
+    # the 40-bit outputs keep the digest they had with the guesses in order.
     from juoan2.encrypt import encrypt_block, extend_block, sample_noise
 
-    out = []
+    out, cases = [], []
     for bits, seeds in ((40, range(40)), (22, range(100, 120))):
         for seed in seeds:
             weights, _, S, M = planted_ssp_instance(20, bits, Random(seed))
             out.append(lattice_attack(weights, S, M))
+            cases.append((weights, S, M, None, None))
     for n, keys, max_wraps in ((4, 20, None), (8, 6, None), (16, 4, 8)):
         for seed in range(keys):
             rng = Random(1000 * n + seed)
@@ -462,7 +514,22 @@ def test_lattice_attack_outputs_are_pinned():
             ct = encrypt_block(pub, block, sample_noise(block.n_total, rng))
             weights, var_map = expand_assp_to_ssp(pub)
             out.append(lattice_attack(weights, ct.S, pub.M, assp_map=var_map, max_wraps=max_wraps))
+            cases.append((weights, ct.S, pub.M, pub, block.bits))
     hits = [sum(x is not None for x in part) for part in (out[:40], out[40:60], out[60:80], out[80:])]
     assert hits == [40, 14, 16, 0]
+    # every output is a verified solution, and every ASSP one decodes to a
+    # block the oracle lists; on Random(4017) that is now the encrypted block,
+    # where the guesses in order returned (1, 0, 0, 0, 0, 1)
+    for x, (weights, S, M, pub, encrypted) in zip(out, cases):
+        if x is None:
+            continue
+        assert sum(b * w for b, w in zip(x, weights)) % M == S
+        if pub is not None:
+            block = block_from_kappa(kappa_from_assignment(x, expand_assp_to_ssp(pub)[1]), pub.n_tilde)
+            assert block in {bits for bits, _ in brute_force_assp(pub, S)}
+            if pub is cases[77][3]:  # Random(4017)
+                assert block == encrypted == (0, 1, 0, 1, 1, 1)
+    digest_40 = hashlib.sha256(repr(out[:40]).encode()).hexdigest()
+    assert digest_40 == "17725be41ed0277a477d948e02c7ec5860e24d224375f470b94cd97b9fe315ae"
     digest = hashlib.sha256(repr(out).encode()).hexdigest()
-    assert digest == "1f7fab0c5435d52b03befa0974512d20b26eb6b5e8dc84734232dad575f21151"
+    assert digest == "78fdc512f99c8c9db48437a7ad6b8f847bb03d7dc4312f89b7fc352ad62768f9"
