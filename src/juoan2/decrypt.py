@@ -12,14 +12,15 @@ not.  Decryption therefore needs the public key: it walks the full
 decomposition tree in greedy order and accepts only candidates that
 re-encrypt to the original ciphertext.  The walk tests each child against
 the capacity of the positions left below it (`keygen.capacity`) before
-pushing it, so no dead branch reaches the stack, and it builds GreedySteps
-only for the candidates it yields.
+pushing it, so no dead branch reaches the stack.  Each stack entry links to
+the entry it was pushed from, and the walk reads the path back through
+those links, building GreedySteps, only for the candidates it yields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .codec import check_ciphertext
 from .encrypt import BitBlock, Ciphertext, anomalous_sum, bits_to_bytes
@@ -31,8 +32,7 @@ BRANCH_NOISE = "noise"
 BRANCH_SKIP = "skip"
 
 
-@dataclass(frozen=True)
-class GreedyStep:
+class GreedyStep(NamedTuple):
     i: int  # 1-based position
     branch: str
     residual: int
@@ -57,8 +57,9 @@ def decompose_candidates(
     only if it can still close: its residual is zero, or the positions below
     it can absorb the residual.  That test is Property 1 at level L, the
     count of ones already claimed: the positions below i absorb at most
-    L*plain[i] + cap[i], read from `capacity`.  Steps are built for yielded
-    candidates only.
+    L*plain[i] + cap[i], read from `capacity`.  Each stack entry links to
+    its parent, and the path is read back through those links only for a
+    yielded candidate, so steps are built for yielded candidates only.
     """
     if target < 0:
         raise ParameterError(f"target must be >= 0, got {target}")
@@ -68,33 +69,46 @@ def decompose_candidates(
         return
 
     # Depth-first with an explicit stack, children pushed in reverse branch
-    # order.  An entry (i, s, level, branch) is reached by `branch` at 0-based
-    # position i + 1; `path` holds one (branch, residual) per position from
-    # n - 1 down to it, position p at index n - 1 - p.
-    path: list[tuple[str, int]] = []
-    stack: list[tuple[int, int, int, str | None]] = [(n - 1, target, 0, None)]
+    # order.  An entry (i, s, level, branch, parent) is reached by `branch`
+    # at 0-based position i + 1 with residual s; `parent` is the entry it
+    # was pushed from, and the root has neither.
+    stack: list[tuple] = [(n - 1, target, 0, None, None)]
+    pop, push = stack.pop, stack.append
     while stack:
-        i, s, level, branch = stack.pop()
-        if branch is not None:
-            del path[n - 2 - i :]
-            path.append((branch, s))
+        node = pop()
+        i, s, level, _, _ = node
         if s == 0:
-            steps = tuple(GreedyStep(n - d, b, r) for d, (b, r) in enumerate(path))
-            yield (
-                (0,) * (i + 1) + tuple(1 if p.branch == BRANCH_ONE else 0 for p in reversed(steps)),
-                tuple(p.i for p in reversed(steps) if p.branch == BRANCH_NOISE),
-                steps,
-            )
+            # Read the path back up the parent links, from position i + 1
+            # to the top: bits and noise positions in ascending order.
+            bits = [0] * (i + 1)
+            noise = []
+            steps = []
+            while node[4] is not None:
+                j, r, _, branch, node = node
+                bits.append(1 if branch == BRANCH_ONE else 0)
+                if branch == BRANCH_NOISE:
+                    noise.append(j + 2)
+                steps.append(GreedyStep(j + 2, branch, r))
+            steps.reverse()
+            yield tuple(bits), tuple(noise), tuple(steps)
             continue
         x = seq[i]
-        one = (level + 1) * x
-        room = level * plain[i] + cap[i]
-        if s <= room:
-            stack.append((i - 1, s, level, BRANCH_SKIP))
-        if level and s >= level * x and s - level * x <= room:
-            stack.append((i - 1, s - level * x, level, BRANCH_NOISE))
-        if s >= one and s - one <= room + plain[i]:
-            stack.append((i - 1, s - one, level + 1, BRANCH_ONE))
+        room = cap[i]
+        if level:
+            room += level * plain[i]
+            if s <= room:
+                push((i - 1, s, level, BRANCH_SKIP, node))
+            r = s - level * x
+            if r >= 0:
+                if r <= room:
+                    push((i - 1, r, level, BRANCH_NOISE, node))
+                if r >= x and r - x <= room + plain[i]:
+                    push((i - 1, r - x, level + 1, BRANCH_ONE, node))
+        else:
+            if s <= room:
+                push((i - 1, s, 0, BRANCH_SKIP, node))
+            if s >= x and s - x <= room + plain[i]:
+                push((i - 1, s - x, 1, BRANCH_ONE, node))
 
 
 def reencrypts_to(

@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+import juoan2
 from juoan2 import (
     Ciphertext,
     FramingError,
@@ -26,7 +27,7 @@ from juoan2 import (
     sample_noise,
 )
 from juoan2.cryptanalysis import brute_force_assp
-from juoan2.decrypt import _shifted_targets, decompose_candidates, reencrypts_to
+from juoan2.decrypt import GreedyStep, _shifted_targets, decompose_candidates, reencrypts_to
 from juoan2.encrypt import BitBlock, compute_L
 from juoan2.keygen import sample_lever, sample_units, select_modulus
 
@@ -113,6 +114,15 @@ def test_audit_finds_every_verified_plaintext(n):
 def test_decryption_refuses_an_out_of_range_target(ref_prv, ref_pub, call, message):
     with pytest.raises(ParameterError, match=message):
         call(ref_prv, ref_pub)
+
+
+def test_greedy_step_keeps_its_public_shape():
+    assert GreedyStep._fields == ("i", "branch", "residual")
+    step = GreedyStep(i=3, branch="one", residual=7)
+    assert (step.i, step.branch, step.residual) == (3, "one", 7)
+    with pytest.raises(AttributeError):
+        step.residual = 0
+    assert juoan2.GreedyStep is GreedyStep and "GreedyStep" in juoan2.__all__
 
 
 def test_default_k_max():

@@ -323,6 +323,30 @@ def test_decompose_candidates_match_the_recursive_walk_on_real_residues(n):
             )
 
 
+def minimal_growth_sequence(n):
+    """A_1 = 1, A_2 = 3, then each A_i one above the weighted sum of A_1..A_(i-1)."""
+    a = [1, 3]
+    for i in range(3, n + 1):
+        a.append(weighted_sum(a[: i - 1]) + 1)
+    return a
+
+
+@pytest.mark.parametrize("n", [12, 18])
+def test_decompose_candidates_match_the_recursive_walk_on_minimal_growth(n):
+    # A sequence that grows as slowly as the bound allows decomposes most
+    # targets many ways, so the walk backtracks deep and often, and each
+    # yielded path is read back after many pops.
+    seq = minimal_growth_sequence(n)
+    rng = Random(n)
+    yielded = 0
+    for _ in range(6):
+        target = rng.randint(0, weighted_sum(seq))
+        candidates = list(decompose_candidates(seq, target))
+        assert candidates == list(recursive_decompose_candidates(seq, target))
+        yielded += len(candidates)
+    assert yielded > 12
+
+
 def test_decrypt_block_builds_steps_only_for_yielded_candidates(monkeypatch):
     rng = Random(128)
     pub, prv = keygen(128, rng)
