@@ -12,14 +12,16 @@ not.  Decryption therefore needs the public key: it walks the full
 decomposition tree in greedy order and accepts only candidates that
 re-encrypt to the original ciphertext.  The walk tests each child against
 the capacity of the positions left below it (`keygen.capacity`) before
-pushing it, so no dead branch reaches the stack.  Each stack entry links to
-the entry it was pushed from, and the walk reads the path back through
-those links, building GreedySteps, only for the candidates it yields.
+entering it, so no dead branch is entered or stacked.  It keeps the branch
+taken at each position of the current path in one array, descends into
+the first feasible child directly, and stacks only the siblings still to
+try.  Nothing but (bits, noise positions) is built per candidate: a
+DecryptTrace rebuilds its GreedySteps (`greedy_steps`) only when read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
 from .codec import check_ciphertext
@@ -40,26 +42,37 @@ class GreedyStep(NamedTuple):
 
 @dataclass(frozen=True)
 class DecryptTrace:
-    """Record of the verified decomposition accepted for a block."""
+    """Record of the verified decomposition accepted for a block.
+
+    `residue` is t_k, the residue decomposed at retry count k, and `seq` the
+    private sequence it was decomposed over; `seq` is left out of repr and
+    comparison, so printing a trace shows no key material.  The greedy steps
+    are rebuilt from these on each read of `steps`.
+    """
 
     k: int
-    steps: tuple[GreedyStep, ...]
     bits: tuple[int, ...]
+    noise_positions: tuple[int, ...]
+    residue: int
+    seq: Sequence[int] = field(repr=False, compare=False)
+
+    @property
+    def steps(self) -> tuple[GreedyStep, ...]:
+        return greedy_steps(self.seq, self.residue, self.bits, self.noise_positions)
 
 
 def decompose_candidates(
     seq: Sequence[int], target: int
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], tuple[GreedyStep, ...]]]:
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Enumerate every structurally valid decomposition of target over seq.
 
-    Yields (bits, noise positions, steps) in greedy-preference order: at each
-    position a set bit, then a noise term, then a skip.  A child is pushed
+    Yields (bits, noise positions) in greedy-preference order: at each
+    position a set bit, then a noise term, then a skip.  A child is entered
     only if it can still close: its residual is zero, or the positions below
     it can absorb the residual.  That test is Property 1 at level L, the
     count of ones already claimed: the positions below i absorb at most
-    L*plain[i] + cap[i], read from `capacity`.  Each stack entry links to
-    its parent, and the path is read back through those links only for a
-    yielded candidate, so steps are built for yielded candidates only.
+    L*plain[i] + cap[i], read from `capacity`.  No steps are built;
+    `greedy_steps` rebuilds them for one candidate.
     """
     if target < 0:
         raise ParameterError(f"target must be >= 0, got {target}")
@@ -68,47 +81,84 @@ def decompose_candidates(
     if target > cap[n]:
         return
 
-    # Depth-first with an explicit stack, children pushed in reverse branch
-    # order.  An entry (i, s, level, branch, parent) is reached by `branch`
-    # at 0-based position i + 1 with residual s; `parent` is the entry it
-    # was pushed from, and the root has neither.
-    stack: list[tuple] = [(n - 1, target, 0, None, None)]
+    # Depth-first.  The walk stands at 0-based position i with residual s
+    # and `level` ones above it; choice[j] is the branch taken at each
+    # position j > i (0 skip, 1 one, 2 noise).  It enters the first feasible
+    # child directly and stacks the others: an entry (i, s, level, code) is
+    # branch `code` at i, leaving residual s and `level` ones below.
+    table = list(zip(seq, cap, plain))
+    choice = [0] * n
+    stack: list[tuple[int, int, int, int]] = []
     pop, push = stack.pop, stack.append
-    while stack:
-        node = pop()
-        i, s, level, _, _ = node
-        if s == 0:
-            # Read the path back up the parent links, from position i + 1
-            # to the top: bits and noise positions in ascending order.
-            bits = [0] * (i + 1)
-            noise = []
-            steps = []
-            while node[4] is not None:
-                j, r, _, branch, node = node
-                bits.append(1 if branch == BRANCH_ONE else 0)
-                if branch == BRANCH_NOISE:
-                    noise.append(j + 2)
-                steps.append(GreedyStep(j + 2, branch, r))
-            steps.reverse()
-            yield tuple(bits), tuple(noise), tuple(steps)
-            continue
-        x = seq[i]
-        room = cap[i]
-        if level:
-            room += level * plain[i]
+    i, s, level = n - 1, target, 0
+    while True:
+        if s:
+            x, room, p = table[i]
+            if level:
+                room += level * p
+                r = s - level * x
+                if r >= x and r - x <= room + p:
+                    if s <= room:
+                        push((i, s, level, 0))
+                    if r <= room:
+                        push((i, r, level, 2))
+                    choice[i] = 1
+                    i, s, level = i - 1, r - x, level + 1
+                    continue
+                if 0 <= r <= room:
+                    if s <= room:
+                        push((i, s, level, 0))
+                    choice[i] = 2
+                    i, s = i - 1, r
+                    continue
+            elif s >= x and s - x <= room + p:  # level 0 has no noise child
+                if s <= room:
+                    push((i, s, 0, 0))
+                choice[i] = 1
+                i, s, level = i - 1, s - x, 1
+                continue
             if s <= room:
-                push((i - 1, s, level, BRANCH_SKIP, node))
-            r = s - level * x
-            if r >= 0:
-                if r <= room:
-                    push((i - 1, r, level, BRANCH_NOISE, node))
-                if r >= x and r - x <= room + plain[i]:
-                    push((i - 1, r - x, level + 1, BRANCH_ONE, node))
+                choice[i] = 0
+                i -= 1
+                continue
         else:
-            if s <= room:
-                push((i - 1, s, 0, BRANCH_SKIP, node))
-            if s >= x and s - x <= room + plain[i]:
-                push((i - 1, s - x, 1, BRANCH_ONE, node))
+            # Every position from i down is a skip.
+            tail = choice[i + 1:]
+            yield (0,) * (i + 1) + tuple(c & 1 for c in tail), tuple(
+                j for j, c in enumerate(tail, i + 2) if c == 2
+            )
+        if not stack:
+            return
+        i, s, level, choice[i] = pop()  # i is bound before choice[i]
+        i -= 1
+
+
+def greedy_steps(
+    seq: Sequence[int], target: int, bits: Sequence[int], noise_positions: Sequence[int]
+) -> tuple[GreedyStep, ...]:
+    """The greedy steps of one decomposition of target, from position n down.
+
+    Replays (bits, noise positions), as `decompose_candidates` yields them,
+    top-down: one step per position until the residual reaches zero, each
+    with the residual it leaves.  O(n).
+    """
+    noise = set(noise_positions)
+    steps = []
+    s, level = target, 0
+    for i in range(len(seq), 0, -1):
+        if not s:
+            break
+        if bits[i - 1]:
+            level += 1
+            s -= level * seq[i - 1]
+            branch = BRANCH_ONE
+        elif i in noise:
+            s -= level * seq[i - 1]
+            branch = BRANCH_NOISE
+        else:
+            branch = BRANCH_SKIP
+        steps.append(GreedyStep(i, branch, s))
+    return tuple(steps)
 
 
 def reencrypts_to(
@@ -188,9 +238,9 @@ def _scan(prv: PrivateKey, ct: Ciphertext, k_max: int, pub: PublicKey) -> Iterat
     if pub.M != prv.M or pub.n_tilde != prv.n_tilde:
         raise ParameterError("public key does not match the private key")
     for k, t in _shifted_targets(prv, ct, k_max):
-        for bits, noise_positions, steps in decompose_candidates(prv.A, t):
+        for bits, noise_positions in decompose_candidates(prv.A, t):
             if any(bits) and reencrypts_to(pub, bits, noise_positions, ct.S):
-                yield DecryptTrace(k, steps, bits)
+                yield DecryptTrace(k, bits, noise_positions, t, prv.A)
 
 
 def decrypt_block(

@@ -63,9 +63,20 @@ def test_literal_scan_closes_early_and_wrong(ref_prv, ref_pub):
     # does not re-encrypt: the reason every candidate is verified against
     # the public key.
     t = (REF_S0 + 12 * ref_prv.neg_w) % ref_prv.M
-    bits, noise_positions, _ = next(decompose_candidates(ref_prv.A, t))
+    bits, noise_positions = next(decompose_candidates(ref_prv.A, t))
     assert bits == (0, 0, 0, 0, 0, 0, 0, 1)
     assert not reencrypts_to(ref_pub, bits, noise_positions, REF_S)
+
+
+def test_trace_repr_shows_no_private_sequence():
+    rng = Random(64)
+    pub, prv = keygen(64, rng)
+    block, trace = decrypt_block(prv, encrypt_message(pub, b"secret", rng)[0], pub)
+    assert trace.bits == block.bits and trace.seq == prv.A
+    assert repr(trace) == (
+        f"DecryptTrace(k={trace.k}, bits={trace.bits}, "
+        f"noise_positions={trace.noise_positions}, residue={trace.residue})"
+    )
 
 
 def test_another_keys_public_key_is_refused(ref_prv):

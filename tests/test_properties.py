@@ -26,6 +26,7 @@ from juoan2.decrypt import (
     _least_multiple_in,
     _shifted_targets,
     decompose_candidates,
+    greedy_steps,
 )
 from juoan2.encrypt import BitBlock, NoiseVector, anomalous_sum, compute_L, encrypt_block
 from juoan2.keygen import PublicKey, capacity, check_property1, first_violation, weighted_sum
@@ -272,6 +273,14 @@ def recursive_decompose_candidates(a, target):
     yield from walk(n - 1, target, 0)
 
 
+def walk_with_steps(seq, target):
+    """The walk's candidates, each with its rebuilt steps, in the recursive walk's shape."""
+    return [
+        (bits, noise, greedy_steps(seq, target, bits, noise))
+        for bits, noise in decompose_candidates(seq, target)
+    ]
+
+
 @st.composite
 def sequences_and_targets(draw):
     n = draw(st.integers(2, 16))
@@ -289,9 +298,17 @@ def sequences_and_targets(draw):
 @given(sequences_and_targets())
 def test_decompose_candidates_match_the_recursive_walk(case):
     seq, target = case
-    assert list(decompose_candidates(seq, target)) == list(
-        recursive_decompose_candidates(seq, target)
-    )
+    assert walk_with_steps(seq, target) == list(recursive_decompose_candidates(seq, target))
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=8), st.integers(0, 2**32))
+def test_decompose_candidates_match_the_recursive_walk_on_any_positive_sequence(seq, seed):
+    # Keys always satisfy the sequence rule, under which a set bit and a
+    # skip are never both feasible; the walk's pruning holds for any
+    # positive sequence, and so must its order.
+    target = Random(seed).randint(0, weighted_sum(seq))
+    assert walk_with_steps(seq, target) == list(recursive_decompose_candidates(seq, target))
 
 
 @pytest.mark.parametrize("n", [64, 128])
@@ -318,9 +335,7 @@ def test_decompose_candidates_match_the_recursive_walk_on_real_residues(n):
             for _ in range(3)
         ]
         for t in genuine + forged:
-            assert list(decompose_candidates(prv.A, t)) == list(
-                recursive_decompose_candidates(prv.A, t)
-            )
+            assert walk_with_steps(prv.A, t) == list(recursive_decompose_candidates(prv.A, t))
 
 
 def minimal_growth_sequence(n):
@@ -341,34 +356,54 @@ def test_decompose_candidates_match_the_recursive_walk_on_minimal_growth(n):
     yielded = 0
     for _ in range(6):
         target = rng.randint(0, weighted_sum(seq))
-        candidates = list(decompose_candidates(seq, target))
+        candidates = walk_with_steps(seq, target)
         assert candidates == list(recursive_decompose_candidates(seq, target))
         yielded += len(candidates)
     assert yielded > 12
 
 
-def test_decrypt_block_builds_steps_only_for_yielded_candidates(monkeypatch):
+def oracle_steps(seq, trace):
+    """The recursive walk's steps for the candidate a trace accepted."""
+    for bits, noise, steps in recursive_decompose_candidates(seq, trace.residue):
+        if (bits, noise) == (trace.bits, trace.noise_positions):
+            return steps
+    raise AssertionError("the trace's candidate is not a decomposition of its residue")
+
+
+def test_decryption_builds_steps_only_when_a_trace_is_read(monkeypatch):
     rng = Random(128)
     pub, prv = keygen(128, rng)
-    ct = encrypt_message(pub, b"no step per node", rng)[0]
+    message = b"no step per node"
+    blocks = encrypt_message(pub, message, rng)
     built = []
-    yielded = []
-    walk = decrypt.decompose_candidates
 
     def counting_step(*args):
         built.append(args)
         return GreedyStep(*args)
 
-    def recording_walk(seq, target):
-        for candidate in walk(seq, target):
-            yielded.append(candidate)
-            yield candidate
-
     monkeypatch.setattr(decrypt, "GreedyStep", counting_step)
-    monkeypatch.setattr(decrypt, "decompose_candidates", recording_walk)
-    _, trace = decrypt.decrypt_block(prv, ct, pub)
-    assert yielded and trace.steps == yielded[-1][2]
-    assert len(built) == sum(len(steps) for _, _, steps in yielded)
+    assert decrypt.decrypt_message(prv, blocks, pub) == message
+    _, trace = decrypt.decrypt_block(prv, blocks[0], pub)
+    assert built == []
+    steps = trace.steps
+    assert steps == oracle_steps(prv.A, trace)
+    assert len(built) == len(steps) > 0
+
+
+def test_audit_traces_stay_distinct_and_keep_their_steps():
+    # A block with two verified decompositions, at k = 273 and k = 359.  Each
+    # trace rebuilds its steps from its own residue t_k and pattern, not
+    # from the last candidate the walk yielded.
+    rng = Random(30)
+    pub, prv = keygen(8, rng)
+    ct = encrypt_message(pub, b"", rng)[0]
+    traces = audit_decrypt_block(prv, ct, pub)
+    assert [t.k for t in traces] == [273, 359] and traces[0] != traces[1]
+    residues = dict(_shifted_targets(prv, ct, default_k_max(prv.n_tilde)))
+    for trace in traces:
+        assert trace.residue == residues[trace.k]
+        assert trace.steps == oracle_steps(prv.A, trace)
+        assert {s.i for s in trace.steps if s.branch == "noise"} == set(trace.noise_positions)
 
 
 @settings(max_examples=100, deadline=None)
