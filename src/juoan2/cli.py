@@ -42,8 +42,8 @@ _REF_INTERMEDIATE = 2283
 _REF_BRANCHES = ("one", "noise", "noise", "one", "skip", "one", "skip", "one")
 
 
-# Largest `keygen -n`: key generation costs about n^3 time (2.7 s at n=4000,
-# 20 s at 8000) and n^2 memory, so larger requests are refused up front.
+# Largest `keygen -n`: key generation costs about n^3 time (1.3 s at n=4000,
+# 8 s at 8000) and n^2 memory, so larger requests are refused up front.
 _MAX_KEYGEN_N = 4096
 
 # Largest expanded weight count `attack` takes on: 231 at n=32, 552 at n=64.

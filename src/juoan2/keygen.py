@@ -1,8 +1,9 @@
 """Key generation: extra superincreasing sequences, modulus, units, lever, public transform.
 
-`capacity` holds the sequence bound's prefix sums; the weighted sum,
-Property 1 and decryption's tree walk read it.  The sequence check runs the
-same two running sums lazily instead, so it stops at the first violation.
+`capacity` holds the sequence bound's prefix sums; Property 1 and
+decryption's tree walk read it.  The weighted sum is that table's last entry,
+summed from the same running sums without building the table, and the
+sequence check runs them lazily, so it stops at the first violation.
 """
 
 from __future__ import annotations
@@ -59,8 +60,11 @@ def capacity(seq: Sequence[int]) -> tuple[list[int], list[int]]:
 
 
 def weighted_sum(seq: Sequence[int]) -> int:
-    """Sum of (n+1-i) * A_i, the budget the modulus must exceed."""
-    return capacity(seq)[1][-1]
+    """Sum of (n+1-i) * A_i, the budget the modulus must exceed.
+
+    That is `capacity`'s last bound entry: the sum of the running sums.
+    """
+    return sum(accumulate(seq))
 
 
 def ceil_lg(m: int) -> int:
@@ -132,7 +136,7 @@ def gen_extra_superincreasing(n_tilde: int, rng: Random) -> tuple[int, ...]:
     bound = a[0]  # sum of (i-j)*A_j for the *next* position
     for i in range(1, n_tilde):
         lower = a[0] + 1 if i == 1 else bound
-        a.append(lower + rng.randint(1, lower))
+        a.append(lower + 1 + rng.randrange(lower))  # randint(1, lower)'s draw: keys stay pinned
         plain += a[-1]
         bound += plain
     return tuple(a)
@@ -146,6 +150,8 @@ def select_modulus(seq: Sequence[int], rng: Random) -> int:
     ciphertexts measurably ambiguous.  Raises SequenceTooLargeError when the
     weighted sum needs more than 2n bits.
     """
+    if not seq:
+        raise ParameterError("empty sequence")
     total = weighted_sum(seq)
     bits = max_modulus_bits(len(seq))
     if total.bit_length() > bits:
@@ -185,14 +191,20 @@ def derive_public(
 ) -> PublicKey:
     """Compute C_i = (A_i + W * ell(i)) * delta mod M; every element must be nonzero.
 
+    Each element is formed as A_i*delta + (W*delta mod M)*ell(i): A_i has
+    about 1.67*i bits, not M's 2*n_tilde, and ell(i) is tiny, so both
+    products and the reduction are shorter than those of the plain form.
     The lever is transient: keygen draws it, passes it here and drops it.
     """
+    if not seq:
+        raise ParameterError("empty sequence")
     if len(seq) != len(lever):
         raise ParameterError("sequence and lever lengths differ")
     if gcd(delta, M) != 1:
         raise ParameterError("delta is not invertible mod M")
-    c = tuple((a + w * e) * delta % M for a, e in zip(seq, lever))
-    if any(x == 0 for x in c):
+    wd = w * delta % M
+    c = tuple((a * delta + wd * e) % M for a, e in zip(seq, lever))
+    if 0 in c:
         raise DegeneratePublicElementError("public element hit zero; resample")
     return PublicKey(c, M, n_payload)
 

@@ -1,13 +1,18 @@
 """Key generation: sequence structure, modulus window, transform, retries."""
 
+from math import gcd
 from random import Random
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import juoan2.cli
 from juoan2 import (
     DegeneratePublicElementError,
     ParameterError,
+    PrivateKey,
+    PublicKey,
     SequenceTooLargeError,
     derive_public,
     gen_extra_superincreasing,
@@ -15,6 +20,7 @@ from juoan2 import (
     validate_extra_superincreasing,
 )
 from juoan2.keygen import (
+    capacity,
     ceil_lg,
     check_property1,
     max_modulus_bits,
@@ -62,6 +68,11 @@ def test_weighted_sum_reference():
     # sum of (9 - i) * A_i for the reference sequence, within the modulus.
     assert weighted_sum(REF_A) == 3570
     assert weighted_sum(REF_A) < REF_M
+
+
+@given(st.lists(st.integers(min_value=1, max_value=1 << 80), max_size=40))
+def test_weighted_sum_is_the_last_capacity_bound(seq):
+    assert weighted_sum(seq) == capacity(seq)[1][-1]
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -151,8 +162,10 @@ def test_keygen_rejects_bad_sizes(bad_n):
         (lambda: sample_units(2, Random(0)), "modulus must be >= 3, got 2"),
         (lambda: sample_lever(0, Random(0)), "n_tilde must be >= 1, got 0"),
         (lambda: derive_public((1, 3), 5, 2, (1, 2), 18, 2), "delta is not invertible mod M"),
+        (lambda: select_modulus((), Random(0)), "empty sequence"),
+        (lambda: derive_public((), 1, 1, (), 3, 0), "empty sequence"),
     ],
-    ids=["sequence", "units", "lever", "delta"],
+    ids=["sequence", "units", "lever", "delta", "modulus-empty", "public-empty"],
 )
 def test_key_parts_reject_bad_inputs(call, message):
     with pytest.raises(ParameterError, match=f"^{message}$"):
@@ -160,10 +173,13 @@ def test_key_parts_reject_bad_inputs(call, message):
 
 
 class TopDraws:
-    """A stub rng whose randint(a, b) always returns b: every draw at its maximum."""
+    """A stub rng whose every draw is at its maximum: randint(a, b) is b, randrange(n) is n - 1."""
 
     def randint(self, a, b):
         return b
+
+    def randrange(self, n):
+        return n - 1
 
 
 def test_largest_generated_sequence_fits_the_modulus_ceiling():
@@ -174,3 +190,82 @@ def test_largest_generated_sequence_fits_the_modulus_ceiling():
     for n_tilde in (2, 3):
         with pytest.raises(SequenceTooLargeError):
             select_modulus(gen_extra_superincreasing(n_tilde, TopDraws()), TopDraws())
+
+
+# Reference bodies: keygen's draws and public transform in their plainest
+# form.  keygen must return exactly what a pipeline built from them returns.
+
+
+def reference_sequence(n_tilde, rng):
+    a = [rng.randint(1, 4)]
+    plain = a[0]
+    bound = a[0]
+    for i in range(1, n_tilde):
+        lower = a[0] + 1 if i == 1 else bound
+        a.append(lower + rng.randint(1, lower))
+        plain += a[-1]
+        bound += plain
+    return tuple(a)
+
+
+def reference_public_element(a, w, e, delta, M):
+    return (a + w * e) * delta % M
+
+
+def reference_keygen(n, rng):
+    """(pub, prv, number of unit and lever draws) from the reference bodies."""
+    n_tilde = 3 * n // 2
+    seq = reference_sequence(n_tilde, rng)
+    M = select_modulus(seq, rng)
+    draws = 0
+    while True:
+        draws += 1
+        w, delta, neg_w, delta_inv = sample_units(M, rng)
+        lever = sample_lever(n_tilde, rng)
+        C = tuple(reference_public_element(a, w, e, delta, M) for a, e in zip(seq, lever))
+        if all(C):
+            return PublicKey(C, M, n), PrivateKey(seq, neg_w, delta_inv, M, n), draws
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 16, 32, 128, 512])
+def test_keygen_matches_the_reference_pipeline(n):
+    for seed in range(20):
+        pub, prv, _ = reference_keygen(n, Random(seed))
+        assert keygen(n, Random(seed)) == (pub, prv), seed
+
+
+def test_keygen_matches_the_reference_pipeline_after_a_zero_element():
+    # Seed 489's first units and lever give a zero public element at n = 4.
+    pub, prv, draws = reference_keygen(4, Random(489))
+    assert draws == 2
+    assert keygen(4, Random(489)) == (pub, prv)
+
+
+@pytest.mark.parametrize("n_tilde", [2, 3])  # below keygen's n_tilde >= 6
+def test_generated_sequence_matches_the_randint_draws(n_tilde):
+    for seed in range(20):
+        assert gen_extra_superincreasing(n_tilde, Random(seed)) == reference_sequence(
+            n_tilde, Random(seed)
+        )
+
+
+@given(
+    st.integers(min_value=3, max_value=1 << 200).flatmap(
+        lambda M: st.tuples(
+            st.just(M),
+            st.lists(st.integers(min_value=0, max_value=M), min_size=1, max_size=6),
+            st.integers(min_value=0, max_value=M - 1),
+            st.integers(min_value=1, max_value=M - 1),
+        )
+    )
+)
+def test_derive_public_equals_the_product_form(args):
+    M, seq, w, delta = args
+    assume(gcd(delta, M) == 1)
+    lever = range(1, len(seq) + 1)
+    C = tuple(reference_public_element(a, w, e, delta, M) for a, e in zip(seq, lever))
+    if all(C):
+        assert derive_public(seq, w, delta, lever, M, 0).C == C
+    else:
+        with pytest.raises(DegeneratePublicElementError):
+            derive_public(seq, w, delta, lever, M, 0)
