@@ -24,6 +24,7 @@ from .decrypt import (
     DecryptTrace,
     GreedyStep,
     audit_decrypt_block,
+    audit_message,
     decrypt_block,
     decrypt_message,
     default_k_max,
@@ -73,6 +74,7 @@ __all__ = [
     "PublicKey",
     "SequenceTooLargeError",
     "audit_decrypt_block",
+    "audit_message",
     "compute_L",
     "decode_ciphertext",
     "decode_key",

@@ -13,7 +13,7 @@ from pathlib import Path
 from random import Random
 
 from .codec import check_ciphertext, decode_ciphertext, decode_key, encode_ciphertext, encode_key
-from .decrypt import audit_decrypt_block, decrypt_block, decrypt_message
+from .decrypt import audit_message, decrypt_block, decrypt_message
 from .encrypt import BitBlock, Ciphertext, NoiseVector, encrypt_block, encrypt_message
 from .errors import DecodeError, InvalidCiphertextError, ParameterError
 from .keygen import PrivateKey, PublicKey, derive_public, keygen
@@ -102,13 +102,12 @@ def _cmd_decrypt(args: argparse.Namespace) -> int:
     prv = _load_key(args.prv, want_private=True)
     pub = _load_key(args.pub, want_private=False)
     blocks = _load_ciphertext(args.infile, prv)
-    message = decrypt_message(prv, blocks, pub)
-    if args.audit:
-        # Every verified plaintext of each block, in the order decrypt_block
-        # meets them, so the first is the one decryption returned.
+    if not args.audit:
+        message = decrypt_message(prv, blocks, pub)
+    else:
+        message, traces = audit_message(prv, blocks, pub)
         ambiguous = 0
-        for idx, ct in enumerate(blocks):
-            first, *rest = audit_decrypt_block(prv, ct, pub)
+        for idx, (first, *rest) in enumerate(traces):
             branches = ",".join(s.branch for s in first.steps)
             print(f"block {idx}: k={first.k} bits={''.join(map(str, first.bits))} "
                   f"branches={branches}", file=sys.stderr)

@@ -243,6 +243,10 @@ def _scan(prv: PrivateKey, ct: Ciphertext, k_max: int, pub: PublicKey) -> Iterat
                 yield DecryptTrace(k, bits, noise_positions, t, prv.A)
 
 
+def _undecomposed(k_max: int, ct: Ciphertext) -> str:
+    return f"no k <= {k_max} decomposes ciphertext {ct.S}"
+
+
 def decrypt_block(
     prv: PrivateKey, ct: Ciphertext, pub: PublicKey
 ) -> tuple[BitBlock, DecryptTrace]:
@@ -250,12 +254,24 @@ def decrypt_block(
     k_max = default_k_max(prv.n_tilde)
     for trace in _scan(prv, ct, k_max, pub):
         return BitBlock(trace.bits, prv.n_payload), trace
-    raise InvalidCiphertextError(f"no k <= {k_max} decomposes ciphertext {ct.S}")
+    raise InvalidCiphertextError(_undecomposed(k_max, ct))
 
 
 def audit_decrypt_block(prv: PrivateKey, ct: Ciphertext, pub: PublicKey) -> list[DecryptTrace]:
     """Enumerate every verified decomposition over all k (ambiguity measurement)."""
     return list(_scan(prv, ct, default_k_max(prv.n_tilde), pub))
+
+
+def _unframe(payload_bits: list[int]) -> bytes:
+    """Strip the 10* terminator from the message's payload bits and pack them into bytes."""
+    while payload_bits and payload_bits[-1] == 0:
+        payload_bits.pop()
+    if not payload_bits:
+        raise FramingError("terminal padding marker missing")
+    payload_bits.pop()  # the 1 terminator
+    if len(payload_bits) % 8:
+        raise FramingError("recovered payload is not a whole number of bytes")
+    return bits_to_bytes(payload_bits)
 
 
 def decrypt_message(
@@ -279,11 +295,26 @@ def decrypt_message(
         except InvalidCiphertextError as exc:
             raise InvalidCiphertextError(f"block {idx}: {exc}") from exc
         payload_bits += block.bits[:n]
-    while payload_bits and payload_bits[-1] == 0:
-        payload_bits.pop()
-    if not payload_bits:
-        raise FramingError("terminal padding marker missing")
-    payload_bits.pop()  # the 1 terminator
-    if len(payload_bits) % 8:
-        raise FramingError("recovered payload is not a whole number of bytes")
-    return bits_to_bytes(payload_bits)
+    return _unframe(payload_bits)
+
+
+def audit_message(
+    prv: PrivateKey, ciphertexts: Sequence[Ciphertext], pub: PublicKey
+) -> tuple[bytes, list[list[DecryptTrace]]]:
+    """Decrypt like `decrypt_message`, and list every verified trace of each block.
+
+    Each block is scanned once, up to k_max: its list is `audit_decrypt_block`'s,
+    and its first trace the one `decrypt_block` returns, since both read the
+    same `_scan`.  The message is unframed from those first traces, with
+    `decrypt_message`'s checks and errors in the same order.
+    """
+    n = prv.n_payload
+    check_ciphertext(ciphertexts, n, prv)
+    k_max = default_k_max(prv.n_tilde)
+    traces = []
+    for idx, ct in enumerate(ciphertexts):
+        found = list(_scan(prv, ct, k_max, pub))
+        if not found:
+            raise InvalidCiphertextError(f"block {idx}: {_undecomposed(k_max, ct)}")
+        traces.append(found)
+    return _unframe([bit for found in traces for bit in found[0].bits[:n]]), traces

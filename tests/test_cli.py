@@ -109,21 +109,26 @@ def test_decrypt_audit_decrypts_each_block_once(tmp_path, capsys, monkeypatch):
         want.append(f"block {idx}: k={trace.k} bits={''.join(map(str, plain.bits))} "
                     f"branches={','.join(s.branch for s in trace.steps)}")
 
-    calls = []
+    scanned = []
+    scan = juoan2.decrypt._scan
 
     def counted(*args):
-        calls.append(args[1])
-        return decrypt_block(*args)
+        scanned.append(args[1])
+        return scan(*args)
 
-    monkeypatch.setattr(juoan2.cli, "decrypt_block", counted)
-    monkeypatch.setattr(juoan2.decrypt, "decrypt_block", counted)
-    code, _, err = run(capsys, "decrypt", "--prv", base + ".prv",
-                       "--pub", base + ".pub", "--in", str(ct),
-                       "--out", str(out), "--audit")
+    def forbidden(*args, **kwargs):
+        raise AssertionError("decrypt --audit called decrypt_message")
+
+    monkeypatch.setattr(juoan2.decrypt, "_scan", counted)
+    monkeypatch.setattr(juoan2.cli, "decrypt_message", forbidden)
+    code, stdout, err = run(capsys, "decrypt", "--prv", base + ".prv",
+                            "--pub", base + ".pub", "--in", str(ct),
+                            "--out", str(out), "--audit")
     assert code == 0, err
+    assert stdout == f"decrypted {len(blocks)} blocks into {len(message)} bytes\n"
     assert out.read_bytes() == message
     assert err.splitlines() == want
-    assert calls == blocks
+    assert scanned == blocks
 
 
 def test_decrypt_refuses_another_keys_public_key(tmp_path, capsys):
@@ -365,6 +370,18 @@ def test_attack_rejects_a_ciphertext_framed_for_another_width(
     assert not attacked
 
 
+@pytest.mark.parametrize("audit", [(), ("--audit",)], ids=["audit0", "audit1"])
+def test_decrypt_rejects_a_ciphertext_framed_for_another_width(tmp_path, capsys, audit):
+    pub, _ = _key_and_ciphertext(tmp_path, capsys, 4, "k")
+    _, ct = _key_and_ciphertext(tmp_path, capsys, 16, "c")
+    out = tmp_path / "o"
+    code, stdout, err = run(capsys, "decrypt", "--prv", str(Path(pub).with_suffix(".prv")),
+                            "--pub", pub, "--in", ct, "--out", str(out), *audit)
+    assert (code, stdout) == (1, "")
+    assert err == "error: ciphertext framing says n=16 but the key was built for n=4\n"
+    assert not out.exists()
+
+
 def test_attack_refuses_a_key_above_the_ceiling_at_once(tmp_path, capsys, monkeypatch):
     pub, ct = _key_and_ciphertext(tmp_path, capsys, 128, "")
     attacked = []
@@ -598,6 +615,22 @@ def test_decrypt_refuses_a_bad_message_framing(tmp_path, capsys, payloads, messa
     code, _, err = run(capsys, "decrypt", "--prv", str(prv), "--pub", pub,
                        "--in", str(ct), "--out", str(out))
     assert (code, err) == (1, f"error: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("audit", [(), ("--audit",)], ids=["audit0", "audit1"])
+def test_decrypt_reports_a_framing_error_once(tmp_path, capsys, audit):
+    # Every block decrypts, but its payload bits are all zero: extend_block
+    # sets only the padding bit, so the message has no 1 terminator.
+    pub, _ = _key_and_ciphertext(tmp_path, capsys, 8, "")
+    prv, ct, out = Path(pub).with_suffix(".prv"), tmp_path / "zeros.ct", tmp_path / "o"
+    keys = decode_key(prv.read_text()), decode_key(Path(pub).read_text())
+    blocks = encrypt_payloads(keys[1], [(0,) * 8] * 3, Random(5))
+    assert all(decrypt_block(keys[0], b, keys[1])[0].bits[:8] == (0,) * 8 for b in blocks)
+    ct.write_bytes(encode_ciphertext(blocks, 8))
+    code, stdout, err = run(capsys, "decrypt", "--prv", str(prv), "--pub", pub,
+                            "--in", str(ct), "--out", str(out), *audit)
+    assert (code, stdout, err) == (1, "", "error: terminal padding marker missing\n")
     assert not out.exists()
 
 

@@ -13,6 +13,7 @@ from juoan2 import (
     ParameterError,
     PrivateKey,
     audit_decrypt_block,
+    audit_message,
     decode_key,
     decrypt_block,
     decrypt_message,
@@ -222,6 +223,76 @@ def test_decrypt_message_rejects_bad_framing(payloads, message):
     assert [decrypt_block(prv, ct, pub)[0].bits[:8] for ct in cts] == payloads
     with pytest.raises(FramingError, match=message):
         decrypt_message(prv, cts, pub)
+
+
+def _outcome(call):
+    """A call's result, or the type and text of the error it raised."""
+    try:
+        return call()
+    except (FramingError, InvalidCiphertextError, ParameterError) as exc:
+        return type(exc), str(exc)
+
+
+def _decrypt_then_audit(prv, cts, pub):
+    """The two scans `audit_message` replaces: decrypt_message, then every block again."""
+    return decrypt_message(prv, cts, pub), [audit_decrypt_block(prv, ct, pub) for ct in cts]
+
+
+def test_audit_message_matches_decryption_and_per_block_audits():
+    rng = Random(24)
+    cases = []
+    for n in (4, 8, 16):
+        for _ in range(3):
+            pub, prv = keygen(n, rng)
+            cases += [(prv, encrypt_message(pub, rng.randbytes(size), rng), pub)
+                      for size in (0, 1, 5)]
+    # Ambiguous n=4 keys: "hi" under seed 1 decrypts to b"bi" (blocks 1 and 2
+    # have two verified plaintexts), and under seed 5 fails its framing.
+    for seed in (1, 5):
+        pub, prv = keygen(4, Random(seed))
+        cases.append((prv, encrypt_message(pub, b"hi", Random(seed)), pub))
+    ambiguous = refused = 0
+    for prv, cts, pub in cases:
+        got = _outcome(lambda: audit_message(prv, cts, pub))
+        assert got == _outcome(lambda: _decrypt_then_audit(prv, cts, pub))
+        if isinstance(got[0], bytes):
+            ambiguous += any(len(traces) > 1 for traces in got[1])
+        else:
+            refused += 1
+    assert ambiguous and refused  # both kinds of n=4 message were compared
+
+
+def _three_blocks():
+    rng = Random(2)
+    pub, prv = keygen(8, rng)
+    return prv, encrypt_message(pub, b"ab", rng), pub
+
+
+def _with_block_1(S):
+    prv, cts, pub = _three_blocks()
+    cts[1] = Ciphertext(S(prv.M))
+    return prv, cts, pub
+
+
+def _framed(payloads):
+    prv, _, pub = _three_blocks()
+    return prv, encrypt_payloads(pub, payloads, Random(3)), pub
+
+
+@pytest.mark.parametrize("case, error", [
+    pytest.param(lambda: _with_block_1(lambda M: 0), InvalidCiphertextError, id="no-trace"),
+    pytest.param(lambda: _with_block_1(lambda M: M + 5), InvalidCiphertextError, id="beyond-M"),
+    pytest.param(lambda: _three_blocks()[:2] + (keygen(8, Random(3))[0],), ParameterError,
+                 id="another-public-key"),
+] + [
+    pytest.param(lambda payloads=payloads: _framed(payloads), FramingError, id=name)
+    for name, (payloads, _) in BAD_FRAMINGS.items()
+])
+def test_audit_message_refuses_what_decrypt_message_refuses(case, error):
+    prv, cts, pub = case()
+    got = _outcome(lambda: audit_message(prv, cts, pub))
+    assert got[0] is error
+    assert got == _outcome(lambda: _decrypt_then_audit(prv, cts, pub))
 
 
 def test_a_retry_step_sharing_a_large_factor_with_M_reaches_no_residue():

@@ -1,6 +1,7 @@
 """Property checks of the single implementations against slow references."""
 
 import math
+import re
 import time
 from random import Random
 
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from juoan2 import (
     Ciphertext,
     DecodeError,
+    FramingError,
+    audit_message,
     decode_key,
     decrypt_message,
     default_k_max,
@@ -415,5 +418,13 @@ def test_message_round_trip(half_n, message, seed):
     # Small keys have blocks with a second preimage that re-encrypts to the
     # same sum (about 1 in 6 blocks at n = 4, none seen from n = 12 on);
     # decryption may return that one, so only unambiguous messages must match.
-    if all(len(audit_decrypt_block(prv, ct, pub)) == 1 for ct in blocks):
-        assert decrypt_message(prv, blocks, pub) == message
+    try:
+        decrypted, traces = audit_message(prv, blocks, pub)
+    except FramingError as exc:  # only a second preimage, taken first, breaks the framing
+        assert any(len(audit_decrypt_block(prv, ct, pub)) > 1 for ct in blocks)
+        with pytest.raises(FramingError, match=f"^{re.escape(str(exc))}$"):
+            decrypt_message(prv, blocks, pub)
+        return
+    assert decrypt_message(prv, blocks, pub) == decrypted
+    if all(len(found) == 1 for found in traces):
+        assert decrypted == message
