@@ -55,7 +55,12 @@ _MAX_ATTACK_WEIGHTS = 256
 
 
 def _rng_from_seed(seed: str | None) -> Random:
-    return Random(int(seed, 16)) if seed is not None else Random()
+    if seed is None:
+        return Random()
+    value = int(seed, 16)
+    if value < 0:  # Random seeds by absolute value: -5 would give the stream of 5
+        raise ParameterError(f"--seed must not be negative, got {seed}")
+    return Random(value)
 
 
 def _load_key(path: str, want_private: bool):

@@ -10,7 +10,7 @@ from random import Random
 from typing import IO, Iterable
 
 from ..encrypt import encrypt_block, extend_block, sample_noise
-from ..keygen import keygen
+from ..keygen import draws_below, keygen
 from .density import assp_density, ssp_density
 from .lattice import expand_assp_to_ssp, lattice_attack
 
@@ -40,9 +40,9 @@ def planted_ssp_instance(
 ) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
     """Random modular subset sum with a known nonzero solution planted."""
     M = 1 << bits
-    weights = tuple(rng.randint(1, M - 1) for _ in range(n))
+    weights = tuple(1 + r for r in draws_below(M - 1, n, rng))  # randint(1, M - 1) each
     while True:
-        x = tuple(rng.randint(0, 1) for _ in range(n))
+        x = tuple(draws_below(2, n, rng))
         if any(x):
             break
     S = sum(b * w for b, w in zip(x, weights)) % M
@@ -78,7 +78,7 @@ def run_assp_attack_trial(
     last guess had median 45, and m <= 8 held in 2 of 50.
     """
     pub, _ = keygen(n_payload, rng)
-    block = extend_block([rng.randint(0, 1) for _ in range(n_payload)], rng)
+    block = extend_block(draws_below(2, n_payload, rng), rng)
     ct = encrypt_block(pub, block, sample_noise(block.n_total, rng))
     report = assp_density(pub.n_tilde, pub.M)
     weights, var_map = expand_assp_to_ssp(pub)

@@ -7,7 +7,7 @@ from random import Random
 from typing import Iterable, Sequence
 
 from .errors import ParameterError
-from .keygen import PublicKey
+from .keygen import PublicKey, draws_below
 
 Bits = tuple[int, ...]
 
@@ -53,12 +53,13 @@ def extend_block(payload: Sequence[int], rng: Random) -> BitBlock:
     n = len(payload)
     if n < 2 or n % 2:
         raise ParameterError(f"payload length must be even and >= 2, got {n}")
-    pad = [1] + [rng.randint(0, 1) for _ in range(n // 2 - 1)]
+    pad = [1, *draws_below(2, n // 2 - 1, rng)]
     return BitBlock(tuple(payload) + tuple(pad), n)
 
 
 def sample_noise(n_total: int, rng: Random) -> NoiseVector:
-    return NoiseVector(tuple(rng.randint(0, 1) for _ in range(n_total)))
+    """n_total coin flips, the stream of as many rng.randint(0, 1) calls."""
+    return NoiseVector(tuple(draws_below(2, n_total, rng)))
 
 
 def anomalous_sum(pub: PublicKey, bits: Sequence[int], noise_positions: Iterable[int]) -> int:

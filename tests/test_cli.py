@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, reproducibility."""
 
+import hashlib
 import time
 from pathlib import Path
 from random import Random
@@ -176,6 +177,32 @@ def test_keygen_rejects_n_above_the_ceiling_at_once(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("seed", [["--seed", "-5"], ["--seed=-0x5"]])
+def test_keygen_refuses_a_negative_seed(tmp_path, capsys, seed):
+    code, out, err = run(capsys, "keygen", "-n", "8", *seed, "-o", str(tmp_path / "key"))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --seed must not be negative, got {seed[-1].removeprefix('--seed=')}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("seed", [["--seed", "-5"], ["--seed=-0x5"]])
+def test_encrypt_refuses_a_negative_seed(tmp_path, capsys, seed):
+    keys = tmp_path / "keys"
+    keys.mkdir()
+    run(capsys, "keygen", "-n", "8", "--seed", "5", "-o", str(keys / "key"))
+    msg = keys / "m"
+    msg.write_bytes(b"seed")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    code, out, err = run(capsys, "encrypt", "--pub", str(keys / "key.pub"), "--in", str(msg),
+                         "--out", str(out_dir / "m.ct"), *seed)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --seed must not be negative, got {seed[-1].removeprefix('--seed=')}\n"
+    assert not list(out_dir.iterdir())
+
+
 def test_seeded_runs_are_byte_identical(tmp_path, capsys):
     msg = tmp_path / "m"
     msg.write_bytes(b"determinism")
@@ -192,6 +219,13 @@ def test_seeded_runs_are_byte_identical(tmp_path, capsys):
              ct.read_bytes())
         )
     assert outputs[0] == outputs[1]
+    # SHA-256 of the .pub, .prv and .ct files: any change to the seeded
+    # random streams of keygen or encryption shows here.
+    assert [hashlib.sha256(b).hexdigest() for b in outputs[0]] == [
+        "1dda9779d387468e855cb5d7940f1c5e514146d1660a56c04fe2a88b26a67d6e",
+        "29459fecd712559eeac0ab3d99a1c88cefce9343cd5f024ac63dbf9d4f12feed",
+        "8bd5785fc9fbc41857a2b21bb0e49324253ea53ff12cca31c2bdd49eedefc116",
+    ]
 
 
 def test_decrypt_corrupted_ciphertext_fails_cleanly(tmp_path, capsys):

@@ -3,6 +3,8 @@
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from juoan2 import (
     BitBlock,
@@ -70,6 +72,30 @@ def test_extend_block_shape_and_forced_bit():
 
 def test_sample_noise_length():
     assert len(sample_noise(24, Random(0)).bits) == 24
+
+
+# Reference bodies: the padding and noise draws as stdlib coin flips.  The
+# production draws read rng.getrandbits directly and must match them value
+# for value and leave the same generator state.
+
+
+def reference_extend_block(payload, rng):
+    pad = [1] + [rng.randint(0, 1) for _ in range(len(payload) // 2 - 1)]
+    return BitBlock(tuple(payload) + tuple(pad), len(payload))
+
+
+def reference_noise(n_total, rng):
+    return NoiseVector(tuple(rng.randint(0, 1) for _ in range(n_total)))
+
+
+@given(st.integers(min_value=0, max_value=1 << 64), st.integers(min_value=1, max_value=300))
+def test_padding_and_noise_are_the_randint_streams(seed, half):
+    payload = [(seed >> i) & 1 for i in range(2 * half)]
+    rng, ref = Random(seed), Random(seed)
+    block = extend_block(payload, rng)
+    assert block == reference_extend_block(payload, ref)
+    assert sample_noise(block.n_total, rng) == reference_noise(block.n_total, ref)
+    assert rng.getstate() == ref.getstate()
 
 
 def test_bit_byte_round_trip():

@@ -22,6 +22,26 @@ def test_planted_instance_is_solvable():
     assert all(1 <= w < M for w in weights)
 
 
+def reference_planted_instance(n, bits, rng):
+    """planted_ssp_instance with its draws as stdlib randint calls."""
+    M = 1 << bits
+    weights = tuple(rng.randint(1, M - 1) for _ in range(n))
+    while True:
+        x = tuple(rng.randint(0, 1) for _ in range(n))
+        if any(x):
+            break
+    return weights, x, sum(b * w for b, w in zip(x, weights)) % M, M
+
+
+def test_planted_instance_matches_the_randint_draws():
+    # n = 1 and 2 redraw an all-zero x often; bits = 1 draws every weight below 1
+    for n, bits in ((1, 1), (2, 3), (20, 40), (24, 64)):
+        for seed in range(20):
+            rng, ref = Random(seed), Random(seed)
+            assert planted_ssp_instance(n, bits, rng) == reference_planted_instance(n, bits, ref)
+            assert rng.getstate() == ref.getstate()
+
+
 def test_planted_trial_recovers_low_density():
     row = run_planted_ssp_trial(20, 40, Random(1))
     assert row.attack_outcome == "recovered"

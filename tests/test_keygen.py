@@ -1,10 +1,11 @@
 """Key generation: sequence structure, modulus window, transform, retries."""
 
+import importlib
 from math import gcd
 from random import Random
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import juoan2.cli
@@ -20,9 +21,11 @@ from juoan2 import (
     validate_extra_superincreasing,
 )
 from juoan2.keygen import (
+    _below,
     capacity,
     ceil_lg,
     check_property1,
+    draws_below,
     max_modulus_bits,
     min_modulus_bits,
     sample_lever,
@@ -32,6 +35,8 @@ from juoan2.keygen import (
 )
 
 from conftest import ALT_SEQ, REF_A, REF_C, REF_DELTA, REF_LEVER, REF_M, REF_W
+
+keygen_module = importlib.import_module("juoan2.keygen")  # juoan2.keygen is the function
 
 
 def test_reference_sequences_are_extra_superincreasing():
@@ -173,16 +178,21 @@ def test_key_parts_reject_bad_inputs(call, message):
 
 
 class TopDraws:
-    """A stub rng whose every draw is at its maximum: randint(a, b) is b, randrange(n) is n - 1."""
+    """A stub rng whose one-off draws are at their maximum: randint(a, b) is b.
+
+    The sequence's per-position draws go through keygen._below, which the
+    test patches to n - 1, so the stub's getrandbits is never called.
+    """
 
     def randint(self, a, b):
         return b
 
-    def randrange(self, n):
-        return n - 1
+    def getrandbits(self, k):
+        raise AssertionError("a per-position draw bypassed keygen._below")
 
 
-def test_largest_generated_sequence_fits_the_modulus_ceiling():
+def test_largest_generated_sequence_fits_the_modulus_ceiling(monkeypatch):
+    monkeypatch.setattr(keygen_module, "_below", lambda n, getrandbits: n - 1)
     # keygen's n_tilde runs from 6 to 3/2 of the CLI's payload ceiling; only 2 and 3 overflow
     for n_tilde in [*range(4, 301), 3 * juoan2.cli._MAX_KEYGEN_N // 2]:
         seq = gen_extra_superincreasing(n_tilde, TopDraws())
@@ -208,6 +218,10 @@ def reference_sequence(n_tilde, rng):
     return tuple(a)
 
 
+def reference_lever(n_tilde, rng):
+    return tuple(rng.sample(range(1, 2 * n_tilde + 1), n_tilde))
+
+
 def reference_public_element(a, w, e, delta, M):
     return (a + w * e) * delta % M
 
@@ -221,7 +235,7 @@ def reference_keygen(n, rng):
     while True:
         draws += 1
         w, delta, neg_w, delta_inv = sample_units(M, rng)
-        lever = sample_lever(n_tilde, rng)
+        lever = reference_lever(n_tilde, rng)
         C = tuple(reference_public_element(a, w, e, delta, M) for a, e in zip(seq, lever))
         if all(C):
             return PublicKey(C, M, n), PrivateKey(seq, neg_w, delta_inv, M, n), draws
@@ -247,6 +261,52 @@ def test_generated_sequence_matches_the_randint_draws(n_tilde):
         assert gen_extra_superincreasing(n_tilde, Random(seed)) == reference_sequence(
             n_tilde, Random(seed)
         )
+
+
+# The per-position draws read rng.getrandbits directly; each must leave the
+# same values and the same generator state as the stdlib call it replaces.
+
+seeds = st.integers(min_value=0, max_value=1 << 64)
+# Bounds from 1 to 2**4096, with 1, the powers of two and their neighbours
+# (where the rejection rate is lowest and highest) drawn often.
+bounds = st.one_of(
+    st.integers(min_value=1, max_value=1 << 4096),
+    st.integers(min_value=0, max_value=4096).flatmap(
+        lambda k: st.sampled_from([(1 << k) - 1, 1 << k, (1 << k) + 1])
+    ).filter(lambda n: n >= 1),
+)
+
+
+@settings(max_examples=300)
+@given(seeds, bounds)
+def test_below_is_the_randrange_stream(seed, n):
+    rng, ref = Random(seed), Random(seed)
+    assert [_below(n, rng.getrandbits) for _ in range(3)] == [ref.randrange(n) for _ in range(3)]
+    assert rng.getstate() == ref.getstate()
+
+
+@settings(max_examples=300)
+@given(seeds, bounds, st.integers(min_value=0, max_value=40))
+def test_draws_below_is_the_randrange_stream(seed, n, count):
+    rng, ref = Random(seed), Random(seed)
+    assert draws_below(n, count, rng) == [ref.randrange(n) for _ in range(count)]
+    assert rng.getstate() == ref.getstate()
+
+
+@given(seeds, st.integers(min_value=0, max_value=600))
+def test_coin_flips_are_the_randint_stream(seed, count):
+    rng, ref = Random(seed), Random(seed)
+    assert draws_below(2, count, rng) == [ref.randint(0, 1) for _ in range(count)]
+    assert rng.getstate() == ref.getstate()
+
+
+@settings(deadline=None)
+@given(seeds, st.one_of(st.integers(min_value=1, max_value=64), st.integers(min_value=1, max_value=6144)))
+def test_sample_lever_is_the_sample_stream(seed, n_tilde):
+    # 6144 is n_tilde at the CLI's payload ceiling
+    rng, ref = Random(seed), Random(seed)
+    assert sample_lever(n_tilde, rng) == reference_lever(n_tilde, ref)
+    assert rng.getstate() == ref.getstate()
 
 
 @given(
