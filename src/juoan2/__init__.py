@@ -53,7 +53,6 @@ from .keygen import (
     derive_public,
     gen_extra_superincreasing,
     keygen,
-    validate_extra_superincreasing,
 )
 
 __version__ = "1.0.0"
@@ -90,5 +89,4 @@ __all__ = [
     "gen_extra_superincreasing",
     "keygen",
     "sample_noise",
-    "validate_extra_superincreasing",
 ]

@@ -40,7 +40,6 @@ from .oracles import (
     brute_force_assp,
     check_property2,
     ciphertext_multiplicity,
-    search_alternative_keys,
 )
 
 __all__ = [
@@ -72,7 +71,6 @@ __all__ = [
     "planted_ssp_instance",
     "run_assp_attack_trial",
     "run_planted_ssp_trial",
-    "search_alternative_keys",
     "ssp_density",
     "ssp_density_from_bits",
     "write_experiment_csv",

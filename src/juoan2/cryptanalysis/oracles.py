@@ -7,13 +7,13 @@ middle rather than walking all 3^n (bits, noise) patterns.  It and
 
 from __future__ import annotations
 
-from itertools import combinations, compress, permutations, product
-from math import comb, gcd
+from itertools import combinations, compress, product
+from math import comb
 from typing import Sequence
 
 from ..encrypt import BitBlock, anomalous_sum, compute_L
 from ..errors import ParameterError
-from ..keygen import PublicKey, first_violation, weighted_sum
+from ..keygen import PublicKey
 
 MAX_BRUTE_N = 16
 MAX_ENUM_BITS = 20
@@ -118,36 +118,6 @@ def check_property2(seq: Sequence[int], m: int) -> bool:
                 return False
             seen.add(total)
     return True
-
-
-def search_alternative_keys(
-    pub: PublicKey, lever_bound: int
-) -> list[tuple[tuple[int, ...], int, int, tuple[int, ...]]]:
-    """Exhaustively find every (A', W', delta', lever') explaining the public key.
-
-    Tiny parameters only: the scan is over all invertible delta', all W' in
-    (1, M), and all injections of positions into [1, lever_bound], keeping
-    tuples whose derived sequence is extra superincreasing within the
-    modulus budget.  The genuine key always appears.
-    """
-    M = pub.M
-    n = pub.n_tilde
-    if M > 1 << 16 or n > 4:
-        raise ParameterError("exhaustive key search is bounded to M <= 2^16, n <= 4")
-    if lever_bound < n:
-        raise ParameterError("lever bound smaller than the position count")
-    found = []
-    for delta in range(1, M):
-        if gcd(delta, M) != 1:
-            continue
-        inv = pow(delta, -1, M)
-        targets = [c * inv % M for c in pub.C]
-        for w in range(2, M):
-            for lever in permutations(range(1, lever_bound + 1), n):
-                a = [(targets[i] - w * lever[i]) % M for i in range(n)]
-                if first_violation(a) == 0 and weighted_sum(a) < M:
-                    found.append((tuple(a), w, delta, lever))
-    return found
 
 
 def ciphertext_multiplicity(pub: PublicKey, block: BitBlock) -> int:

@@ -233,33 +233,32 @@ def _shifted_targets(prv: PrivateKey, ct: Ciphertext, k_max: int) -> Iterator[tu
         yield k, t
 
 
-def _scan(prv: PrivateKey, ct: Ciphertext, k_max: int, pub: PublicKey) -> Iterator[DecryptTrace]:
-    """Yield the decompositions that re-encrypt to the ciphertext, for k = 1..k_max in order."""
+def _scan(prv: PrivateKey, ct: Ciphertext, pub: PublicKey) -> Iterator[DecryptTrace]:
+    """Yield the decompositions that re-encrypt to the ciphertext, k = 1..default_k_max in order."""
     if pub.M != prv.M or pub.n_tilde != prv.n_tilde:
         raise ParameterError("public key does not match the private key")
-    for k, t in _shifted_targets(prv, ct, k_max):
+    for k, t in _shifted_targets(prv, ct, default_k_max(prv.n_tilde)):
         for bits, noise_positions in decompose_candidates(prv.A, t):
             if any(bits) and reencrypts_to(pub, bits, noise_positions, ct.S):
                 yield DecryptTrace(k, bits, noise_positions, t, prv.A)
 
 
-def _undecomposed(k_max: int, ct: Ciphertext) -> str:
-    return f"no k <= {k_max} decomposes ciphertext {ct.S}"
+def _undecomposed(prv: PrivateKey, ct: Ciphertext) -> str:
+    return f"no k <= {default_k_max(prv.n_tilde)} decomposes ciphertext {ct.S}"
 
 
 def decrypt_block(
     prv: PrivateKey, ct: Ciphertext, pub: PublicKey
 ) -> tuple[BitBlock, DecryptTrace]:
     """First verified decomposition; raises InvalidCiphertextError if no k yields one."""
-    k_max = default_k_max(prv.n_tilde)
-    for trace in _scan(prv, ct, k_max, pub):
+    for trace in _scan(prv, ct, pub):
         return BitBlock(trace.bits, prv.n_payload), trace
-    raise InvalidCiphertextError(_undecomposed(k_max, ct))
+    raise InvalidCiphertextError(_undecomposed(prv, ct))
 
 
 def audit_decrypt_block(prv: PrivateKey, ct: Ciphertext, pub: PublicKey) -> list[DecryptTrace]:
     """Enumerate every verified decomposition over all k (ambiguity measurement)."""
-    return list(_scan(prv, ct, default_k_max(prv.n_tilde), pub))
+    return list(_scan(prv, ct, pub))
 
 
 def _unframe(payload_bits: list[int]) -> bytes:
@@ -303,18 +302,17 @@ def audit_message(
 ) -> tuple[bytes, list[list[DecryptTrace]]]:
     """Decrypt like `decrypt_message`, and list every verified trace of each block.
 
-    Each block is scanned once, up to k_max: its list is `audit_decrypt_block`'s,
-    and its first trace the one `decrypt_block` returns, since both read the
-    same `_scan`.  The message is unframed from those first traces, with
-    `decrypt_message`'s checks and errors in the same order.
+    Each block is scanned once, by `audit_decrypt_block`; its first trace is
+    the one `decrypt_block` returns, since both read the same `_scan`.  The
+    message is unframed from those first traces, with `decrypt_message`'s
+    checks and errors in the same order.
     """
     n = prv.n_payload
     check_ciphertext(ciphertexts, n, prv)
-    k_max = default_k_max(prv.n_tilde)
     traces = []
     for idx, ct in enumerate(ciphertexts):
-        found = list(_scan(prv, ct, k_max, pub))
+        found = audit_decrypt_block(prv, ct, pub)
         if not found:
-            raise InvalidCiphertextError(f"block {idx}: {_undecomposed(k_max, ct)}")
+            raise InvalidCiphertextError(f"block {idx}: {_undecomposed(prv, ct)}")
         traces.append(found)
     return _unframe([bit for found in traces for bit in found[0].bits[:n]]), traces

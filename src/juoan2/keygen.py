@@ -1,9 +1,9 @@
 """Key generation: extra superincreasing sequences, modulus, units, lever, public transform.
 
-`capacity` holds the sequence bound's prefix sums; Property 1 and
-decryption's tree walk read it.  The weighted sum is that table's last entry,
-summed from the same running sums without building the table, and the
-sequence check runs them lazily, so it stops at the first violation.
+`capacity` holds the sequence bound's prefix sums; decryption's tree walk
+reads it.  The weighted sum is that table's last entry, summed from the
+same running sums without building the table, and the sequence check runs
+them lazily, so it stops at the first violation.
 
 Per-position random integers are read from `rng.getrandbits` by the
 rejection loop under CPython's `Random.randrange(n)`: n.bit_length() bits,
@@ -107,22 +107,6 @@ def first_violation(seq: Sequence[int]) -> int:
         if x <= b + (i == 1):  # i == 0: b is 0; i == 1: b is A_1
             return i + 1
     return 0
-
-
-def validate_extra_superincreasing(seq: Sequence[int]) -> bool:
-    """True iff A_2 > A_1 + 1 and every later A_i exceeds sum of (i-j)*A_j."""
-    if not seq:
-        raise ParameterError("empty sequence")
-    return first_violation(seq) == 0
-
-
-def check_property1(seq: Sequence[int], k: int) -> bool:
-    """Check (k+1)*A_i > sum of (k+i-j)*A_j over j < i, for every i > 1.
-
-    That sum is k*plain[i] + bound[i] from `capacity`.
-    """
-    plain, bound = capacity(seq)
-    return all((k + 1) * seq[i] > k * plain[i] + bound[i] for i in range(1, len(seq)))
 
 
 def _below(n: int, getrandbits: Callable[[int], int]) -> int:

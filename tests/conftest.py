@@ -55,6 +55,11 @@ BAD_FRAMINGS = {
 }
 
 
+def property1_reference(a, k):
+    """Property 1 at level k, O(n^2): (k+1)*A_i > sum of (k+i-j)*A_j over j < i, for i > 1."""
+    return all((k + 1) * a[i] > sum((k + i - j) * a[j] for j in range(i)) for i in range(1, len(a)))
+
+
 def encrypt_payloads(pub, payloads, rng):
     """One ciphertext per payload, each padded by extend_block, with fresh noise."""
     return [encrypt_block(pub, extend_block(p, rng), sample_noise(pub.n_tilde, rng))

@@ -15,17 +15,17 @@ from juoan2 import (
     PrivateKey,
     PublicKey,
     SequenceTooLargeError,
+    default_k_max,
     derive_public,
     gen_extra_superincreasing,
     keygen,
-    validate_extra_superincreasing,
 )
 from juoan2.keygen import (
     _below,
     capacity,
     ceil_lg,
-    check_property1,
     draws_below,
+    first_violation,
     max_modulus_bits,
     min_modulus_bits,
     sample_lever,
@@ -34,28 +34,26 @@ from juoan2.keygen import (
     weighted_sum,
 )
 
-from conftest import ALT_SEQ, REF_A, REF_C, REF_DELTA, REF_LEVER, REF_M, REF_W
+from conftest import ALT_SEQ, REF_A, REF_C, REF_DELTA, REF_LEVER, REF_M, REF_W, property1_reference
 
 keygen_module = importlib.import_module("juoan2.keygen")  # juoan2.keygen is the function
 
 
 def test_reference_sequences_are_extra_superincreasing():
-    assert validate_extra_superincreasing(REF_A)
-    assert validate_extra_superincreasing(ALT_SEQ)
+    assert first_violation(REF_A) == 0
+    assert first_violation(ALT_SEQ) == 0
 
 
 def test_validate_rejects_violations():
-    assert not validate_extra_superincreasing((1, 2, 8))  # A_2 must exceed A_1 + 1
-    assert not validate_extra_superincreasing((2, 4, 8))  # A_3 <= 2*A_1 + A_2
-    assert not validate_extra_superincreasing((0, 3, 8))
-    assert not validate_extra_superincreasing((1, 3, 8, 21, 54, 139, 367, 900))
-    with pytest.raises(ParameterError):
-        validate_extra_superincreasing(())
+    assert first_violation((1, 2, 8)) == 2  # A_2 must exceed A_1 + 1
+    assert first_violation((2, 4, 8)) == 3  # A_3 <= 2*A_1 + A_2
+    assert first_violation((0, 3, 8)) == 1
+    assert first_violation((1, 3, 8, 21, 54, 139, 367, 900)) == 8
 
 
 def test_plain_superincreasing_is_not_enough():
     # Powers of two are superincreasing yet fail the weighted bound.
-    assert not validate_extra_superincreasing((1, 2, 4, 8, 16))
+    assert first_violation((1, 2, 4, 8, 16)) == 2
 
 
 def test_ceil_lg_and_modulus_floor():
@@ -84,13 +82,13 @@ def test_weighted_sum_is_the_last_capacity_bound(seq):
 @pytest.mark.parametrize("n_tilde", [2, 3, 8, 24, 96])
 def test_generated_sequences_validate(n_tilde, seed):
     seq = gen_extra_superincreasing(n_tilde, Random(seed))
-    assert validate_extra_superincreasing(seq)
-    assert check_property1(seq, k=n_tilde * n_tilde * (n_tilde + 1))
+    assert first_violation(seq) == 0
+    assert property1_reference(seq, k=default_k_max(n_tilde))
 
 
 def test_property1_reference_small_k():
     for k in (0, 1, 7, 115):
-        assert check_property1(REF_A, k)
+        assert property1_reference(REF_A, k)
 
 
 def test_select_modulus_window():
@@ -141,7 +139,7 @@ def test_keygen_produces_consistent_pair(n):
     pub, prv = keygen(n, Random(42))
     assert pub.n_tilde == prv.n_tilde == 3 * n // 2
     assert pub.M == prv.M
-    assert validate_extra_superincreasing(prv.A)
+    assert first_violation(prv.A) == 0
     assert weighted_sum(prv.A) < prv.M
     assert all(0 < c < pub.M for c in pub.C)
     # The recorded units really invert the hidden transform domain.

@@ -11,7 +11,6 @@ from juoan2.cryptanalysis import (
     brute_force_assp,
     check_property2,
     ciphertext_multiplicity,
-    search_alternative_keys,
 )
 from juoan2.encrypt import (
     BitBlock,
@@ -22,7 +21,7 @@ from juoan2.encrypt import (
     extend_block,
     sample_noise,
 )
-from juoan2.keygen import PublicKey, derive_public
+from juoan2.keygen import PublicKey
 
 from conftest import ALT_SEQ, REF_A, REF_BITS, REF_M, REF_S, time_limit
 
@@ -123,30 +122,12 @@ def test_property2_limit():
     [
         (lambda: check_property2(REF_A, -1), r"subset size -1 outside \[0, 8\]"),
         (lambda: check_property2(REF_A, 9), r"subset size 9 outside \[0, 8\]"),
-        (lambda: search_alternative_keys(PublicKey((1, 3), (1 << 16) + 1, 2), 4),
-         "exhaustive key search is bounded"),
-        (lambda: search_alternative_keys(PublicKey((1, 3, 5, 7, 9), 17, 3), 5),
-         "exhaustive key search is bounded"),
-        (lambda: search_alternative_keys(PublicKey((1, 3), 17, 2), 1),
-         "lever bound smaller than the position count"),
     ],
-    ids=["m=-1", "m=n+1", "M-bound", "n-bound", "lever-bound"],
+    ids=["m=-1", "m=n+1"],
 )
 def test_oracles_refuse_out_of_range_arguments(call, message):
     with pytest.raises(ParameterError, match=message):
         call()
-
-
-def test_alternative_key_search_finds_genuine_key():
-    M, w, delta = 17, 5, 3
-    pub = derive_public((1, 3), w, delta, (1, 2), M, n_payload=2)
-    found = search_alternative_keys(pub, lever_bound=4)
-    assert ((1, 3), w, delta, (1, 2)) in found
-    # Every reported tuple really explains the public elements.
-    for a, w2, d2, lv in found:
-        assert all(
-            (a[i] + w2 * lv[i]) * d2 % M == pub.C[i] for i in range(2)
-        )
 
 
 def test_multiplicity_reference_counts(ref_pub):

@@ -32,7 +32,7 @@ from juoan2.decrypt import (
     greedy_steps,
 )
 from juoan2.encrypt import BitBlock, NoiseVector, anomalous_sum, compute_L, encrypt_block
-from juoan2.keygen import PublicKey, capacity, check_property1, first_violation, weighted_sum
+from juoan2.keygen import PublicKey, capacity, first_violation, weighted_sum
 
 
 def first_violation_reference(a):
@@ -74,41 +74,6 @@ def test_first_violation_matches_reference_near_the_bound(a):
 @given(st.lists(st.integers(-3, 1 << 20), min_size=1, max_size=12))
 def test_first_violation_matches_reference_on_arbitrary_lists(a):
     assert first_violation(a) == first_violation_reference(a)
-
-
-def property1_reference(a, k):
-    """The O(n^2) check: (k+1)*A_i > sum of (k+i-j)*A_j over j < i, for i > 1."""
-    return all((k + 1) * a[i] > sum((k + i - j) * a[j] for j in range(i)) for i in range(1, len(a)))
-
-
-@st.composite
-def near_property1_sequences(draw):
-    """A level k and a sequence whose every element sits a few units either
-    side of the least value Property 1 at level k allows there."""
-    k = draw(st.integers(0, 3000))
-    offsets = draw(st.lists(st.integers(-2, 3), min_size=1, max_size=16))
-    a = [max(1, offsets[0])]
-    for i, off in enumerate(offsets[1:], 1):
-        rhs = sum((k + i - j) * a[j] for j in range(i))
-        a.append(rhs // (k + 1) + off)
-    return a, k
-
-
-@given(near_property1_sequences())
-def test_check_property1_matches_reference_near_the_bound(case):
-    a, k = case
-    assert check_property1(a, k) == property1_reference(a, k)
-
-
-@given(st.lists(st.integers(-3, 1 << 20), min_size=1, max_size=12), st.integers(0, 1 << 12))
-def test_check_property1_matches_reference_on_arbitrary_lists(a, k):
-    assert check_property1(a, k) == property1_reference(a, k)
-
-
-def test_check_property1_rejects_a_sequence_one_below_the_bound():
-    # at k = 1, 2*A_3 must exceed 3*A_1 + 2*A_2 = 14
-    assert not check_property1((2, 4, 7), 1)
-    assert check_property1((2, 4, 8), 1)
 
 
 @given(st.one_of(near_rule_sequences(), st.lists(st.integers(-3, 1 << 40), max_size=12)))
