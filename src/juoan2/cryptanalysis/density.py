@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ..errors import ParameterError
 
@@ -17,8 +16,7 @@ RESISTANT = "resistant"
 SUPERCRITICAL = "supercritical"
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(NamedTuple):
     n: int
     lgM: float  # bit size of the modulus (or max weight, for plain subset sums)
     density: float

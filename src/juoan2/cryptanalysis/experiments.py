@@ -5,9 +5,8 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass
 from random import Random
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 from ..encrypt import encrypt_block, extend_block, sample_noise
 from ..keygen import draws_below, keygen
@@ -17,8 +16,7 @@ from .lattice import expand_assp_to_ssp, lattice_attack
 CSV_COLUMNS = ("n", "lgM", "density", "attack_outcome", "wall_time_ms")
 
 
-@dataclass(frozen=True)
-class ExperimentRow:
+class ExperimentRow(NamedTuple):
     n: int
     lgM: float
     density: float

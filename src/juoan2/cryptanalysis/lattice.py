@@ -78,11 +78,12 @@ def expand_assp_to_ssp(pub: PublicKey) -> tuple[tuple[int, ...], VarMap]:
     of its time; the gap widens as n grows.
     """
     n = pub.n_tilde
+    C, M = pub.C, pub.M
     weights = []
     var_map = []
     for i in range(n, 0, -1):
         for t in range((n - i + 1).bit_length()):
-            weights.append((pub.C[i - 1] << t) % pub.M)
+            weights.append((C[i - 1] << t) % M)
             var_map.append((i, t))
     return tuple(weights), tuple(var_map)
 

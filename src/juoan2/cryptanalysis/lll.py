@@ -25,27 +25,34 @@ against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from ..errors import ParameterError
 
 DEFAULT_DELTA = Fraction(3, 4)
 
 
-@dataclass(frozen=True)
-class IntegerLattice:
-    """Row-generated integer lattice.  Rows need not be independent."""
-
+class _Rows(NamedTuple):
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        if not self.rows:
+
+class IntegerLattice(_Rows):
+    """Row-generated integer lattice.  Rows need not be independent.
+
+    A NamedTuple of one field, `rows`, checked here as it is built; `_make`
+    and `_replace` skip the check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, rows: tuple[tuple[int, ...], ...]) -> IntegerLattice:
+        if not rows:
             raise ParameterError("lattice needs at least one row")
-        width = len(self.rows[0])
-        if any(len(r) != width for r in self.rows):
+        width = len(rows[0])
+        if any(len(r) != width for r in rows):
             raise ParameterError("rows have unequal lengths")
+        return super().__new__(cls, rows)
 
     @property
     def dim(self) -> int:

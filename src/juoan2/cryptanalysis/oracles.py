@@ -88,12 +88,12 @@ def _noise_sums(
     free = [start + i + 1 for i in range(len(bits)) if not bits[i] and levels[i] > 0]
     if len(free) > MAX_ENUM_BITS:
         raise ParameterError(f"{len(free)} free noise bits exceed the enumeration bound")
-    M = pub.M
+    C, M = pub.C, pub.M
     base = anomalous_sum(pub, (0,) * start + tuple(bits), ())
-    base += entry * sum(compress(pub.C[start:], bits))
+    base += entry * sum(compress(C[start:], bits))
     sums = [base % M]
     for p in free:
-        term = levels[p - start - 1] * pub.C[p - 1]
+        term = levels[p - start - 1] * C[p - 1]
         sums += [(s + term) % M for s in sums]
     return free, sums
 

@@ -21,7 +21,6 @@ DecryptTrace rebuilds its GreedySteps (`greedy_steps`) only when read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
 from .codec import check_ciphertext
@@ -40,21 +39,27 @@ class GreedyStep(NamedTuple):
     residual: int
 
 
-@dataclass(frozen=True)
-class DecryptTrace:
+class DecryptTrace(NamedTuple):
     """Record of the verified decomposition accepted for a block.
 
     `residue` is t_k, the residue decomposed at retry count k, and `seq` the
-    private sequence it was decomposed over; `seq` is left out of repr and
-    comparison, so printing a trace shows no key material.  The greedy steps
-    are rebuilt from these on each read of `steps`.
+    private sequence it was decomposed over; `seq` is left out of repr, so
+    printing a trace shows no key material, but not out of comparison: a
+    trace is compared and hashed as the tuple of all five fields.  The
+    greedy steps are rebuilt from these on each read of `steps`.
     """
 
     k: int
     bits: tuple[int, ...]
     noise_positions: tuple[int, ...]
     residue: int
-    seq: Sequence[int] = field(repr=False, compare=False)
+    seq: Sequence[int]
+
+    def __repr__(self) -> str:
+        return (
+            f"DecryptTrace(k={self.k!r}, bits={self.bits!r}, "
+            f"noise_positions={self.noise_positions!r}, residue={self.residue!r})"
+        )
 
     @property
     def steps(self) -> tuple[GreedyStep, ...]:

@@ -1,10 +1,13 @@
-"""Randomized block encryption: padding, noise, and the anomalous-sum loop."""
+"""Randomized block encryption: padding, noise, and the anomalous-sum loop.
+
+A block, its noise vector and its ciphertext are NamedTuples, like the keys
+(see `keygen`), so tuple semantics apply: `Ciphertext(5) == (5,)`.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from random import Random
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ParameterError
 from .keygen import PublicKey, draws_below
@@ -12,8 +15,7 @@ from .keygen import PublicKey, draws_below
 Bits = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class BitBlock:
+class BitBlock(NamedTuple):
     """Payload bits followed by padding; nonzero as a whole."""
 
     bits: Bits
@@ -24,13 +26,11 @@ class BitBlock:
         return len(self.bits)
 
 
-@dataclass(frozen=True)
-class NoiseVector:
+class NoiseVector(NamedTuple):
     bits: Bits
 
 
-@dataclass(frozen=True)
-class Ciphertext:
+class Ciphertext(NamedTuple):
     S: int
 
 
@@ -69,14 +69,15 @@ def anomalous_sum(pub: PublicKey, bits: Sequence[int], noise_positions: Iterable
     position at a zero bit adds the current L.  Noise under a set bit is inert.
     """
     noise = set(noise_positions)
+    C = pub.C  # one field read, not one per position
     s = 0
     level = 0
     for i in range(len(bits), 0, -1):
         if bits[i - 1]:
             level += 1
-            s += level * pub.C[i - 1]
+            s += level * C[i - 1]
         elif i in noise:
-            s += level * pub.C[i - 1]
+            s += level * C[i - 1]
     return s % pub.M
 
 

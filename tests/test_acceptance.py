@@ -14,7 +14,6 @@ import pytest
 
 from juoan2 import (
     BitBlock,
-    Ciphertext,
     NoiseVector,
     PrivateKey,
     decrypt_block,
@@ -25,13 +24,11 @@ from juoan2 import (
     sample_noise,
 )
 from juoan2.cryptanalysis import (
-    IntegerLattice,
     assp_density,
     assp_density_from_bits,
     brute_force_assp,
     check_property2,
     ciphertext_multiplicity,
-    gram_schmidt,
     is_size_reduced,
     lll_reduce,
     lovasz_holds,

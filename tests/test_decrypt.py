@@ -29,7 +29,7 @@ from juoan2 import (
 )
 from juoan2.cryptanalysis import brute_force_assp
 from juoan2.decrypt import GreedyStep, _shifted_targets, decompose_candidates, reencrypts_to
-from juoan2.encrypt import BitBlock, compute_L
+from juoan2.encrypt import compute_L
 from juoan2.keygen import sample_lever, sample_units, select_modulus
 
 from conftest import (
@@ -37,7 +37,6 @@ from conftest import (
     NO_RESIDUE_PRV,
     NO_RESIDUE_PUB,
     NO_RESIDUE_S,
-    REF_A,
     REF_BITS,
     REF_BRANCHES,
     REF_INTERMEDIATE,

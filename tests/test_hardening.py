@@ -1,6 +1,8 @@
-"""Malformed key and ciphertext files, and the stdlib-only runtime."""
+"""Malformed key and ciphertext files, the stdlib-only runtime, and its value types."""
 
 import ast
+import os
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -13,7 +15,13 @@ from hypothesis import strategies as st
 import juoan2
 import juoan2.cryptanalysis
 from juoan2 import (
+    BitBlock,
+    Ciphertext,
     DecodeError,
+    DecryptTrace,
+    NoiseVector,
+    PrivateKey,
+    PublicKey,
     decode_ciphertext,
     decode_key,
     encode_ciphertext,
@@ -21,6 +29,7 @@ from juoan2 import (
     encrypt_message,
     keygen,
 )
+from juoan2.cryptanalysis import DensityReport, ExperimentRow, IntegerLattice
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +91,7 @@ def test_decode_ciphertext_raises_only_decode_error(data):
 
 
 SOURCES = sorted(Path(juoan2.__file__).parent.rglob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def test_stdlib_only_imports():
@@ -115,10 +125,11 @@ def test_every_exported_name_resolves(package):
 
 def test_no_source_module_has_an_unused_import():
     # No linter runs on this tree, so an import that a removal orphans shows
-    # here.  Package __init__ files re-export, as does a line marked
-    # `# noqa: F401` (lattice.py's, for the benchmark).
+    # here, in the library and in these tests.  Package __init__ files
+    # re-export, as does a line marked `# noqa: F401` (lattice.py's, for the
+    # benchmark).
     unused = []
-    for path in SOURCES:
+    for path in SOURCES + TESTS:
         if path.name == "__init__.py":
             continue
         source = path.read_text()
@@ -150,3 +161,42 @@ def test_no_module_imports_another_modules_private_names():
             names = [alias.name for alias in node.names]
             private = [part for part in module_parts + names if part.startswith("_")]
             assert not private, (path.name, node.module, private)
+
+
+def test_importing_the_package_and_cli_loads_no_dataclasses():
+    # The value types are NamedTuples: a dataclass generates and compiles
+    # its methods on every import, and `dataclasses` itself pulls in
+    # `inspect`.  A fresh process, as each CLI call is.
+    env = {**os.environ, "PYTHONPATH": str(Path(juoan2.__file__).parent.parent)}
+    code = "import sys, juoan2, juoan2.cryptanalysis, juoan2.cli; print('dataclasses' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
+
+
+VALUE_TYPES = [
+    (lambda: PublicKey((3, 5), 11, 1), "PublicKey(C=(3, 5), M=11, n_payload=1)"),
+    (lambda: PrivateKey((1, 3), 7, 4, 11, 1), "PrivateKey(A=(1, 3), neg_w=7, delta_inv=4, M=11, n_payload=1)"),
+    (lambda: BitBlock((1, 0), 1), "BitBlock(bits=(1, 0), n_payload=1)"),
+    (lambda: NoiseVector((0, 1)), "NoiseVector(bits=(0, 1))"),
+    (lambda: Ciphertext(5), "Ciphertext(S=5)"),
+    (lambda: DecryptTrace(2, (1, 0), (2,), 9, (1, 3)), "DecryptTrace(k=2, bits=(1, 0), noise_positions=(2,), residue=9)"),
+    (
+        lambda: DensityReport(4, 8.0, 0.5, "LLL-vulnerable"),
+        "DensityReport(n=4, lgM=8.0, density=0.5, classification='LLL-vulnerable', lower_bound=None)",
+    ),
+    (
+        lambda: ExperimentRow(20, 40.0, 0.5, "recovered", 12.5),
+        "ExperimentRow(n=20, lgM=40.0, density=0.5, attack_outcome='recovered', wall_time_ms=12.5)",
+    ),
+    (lambda: IntegerLattice(((1, 2), (3, 4))), "IntegerLattice(rows=((1, 2), (3, 4)))"),
+]
+
+
+@pytest.mark.parametrize("make, text", VALUE_TYPES, ids=[text.partition("(")[0] for _, text in VALUE_TYPES])
+def test_value_type_repr_immutability_and_equality(make, text):
+    value, twin = make(), make()
+    assert repr(value) == text
+    first_field = text.partition("(")[2].partition("=")[0]
+    with pytest.raises(AttributeError):
+        setattr(value, first_field, None)
+    assert value == twin and value is not twin and hash(value) == hash(twin)
