@@ -116,7 +116,7 @@ def block_from_kappa(kappa: dict[int, int], n_tilde: int) -> tuple[int, ...] | N
 
 
 def _scan_reduced(
-    reduced: IntegerLattice,
+    reduced: IntegerLattice | ReducedBasis,
     weights: Sequence[int],
     S: int,
     M: int,
@@ -124,17 +124,27 @@ def _scan_reduced(
 ) -> tuple[int, ...] | None:
     """The first verified bits x read off a reduced row +-(2x - 1 | 0), or None.
 
-    Both signs of a row are tried, as both pass the sum check when
-    2S == sum(weights) (mod M) and only one may decode to a block.
+    The rows of a `ReducedBasis` are read sparse, as it keeps them: only a
+    row with exactly n entries, none in the last column, can be
+    +-(2x - 1 | 0), so no other row is densified.  Both signs of a row are
+    tried, as both pass the sum check when 2S == sum(weights) (mod M) and
+    only one may decode to a block.
     """
     n = len(weights)
     if assp_map is not None:
         n_tilde = max(i for i, _ in assp_map)
-    for vec in reduced.rows:
-        if vec[n] != 0 or any(abs(v) != 1 for v in vec[:n]):
+    if isinstance(reduced, IntegerLattice):
+        rows = [{c: v for c, v in enumerate(vec) if v} for vec in reduced.rows]
+    else:
+        rows = reduced.sparse_rows
+    for row in rows:
+        if len(row) != n or n in row:
+            continue
+        vec = [row[c] for c in range(n)]
+        if any(abs(v) != 1 for v in vec):
             continue
         for sign in (1, -1):
-            x = tuple((sign * v + 1) // 2 for v in vec[:n])
+            x = tuple((sign * v + 1) // 2 for v in vec)
             if not any(x) or sum(b * w for b, w in zip(x, weights)) % M != S:
                 continue
             # x is nonzero, so kappa is too, and its block is None or has a set bit
@@ -156,8 +166,10 @@ class SubsetSumAttack:
     the constructor reduces the weight rows once and every guess of every
     call appends its target row to a copy of that reduction.  `ReducedBasis`
     takes in each weight row, on a column of its own, and each target row
-    after the first, which differ only in the embedding column, in O(n)
-    big-integer work; what a guess costs is the LLL loop from its row, and
+    after the first, which differ only in the embedding column, with n
+    products for its coefficients and O(1) big-integer work for its Gram
+    determinant, and each guess's reduced rows are scanned sparse, as the
+    basis keeps them: what a guess costs is the LLL loop from its row, and
     copying the base.  When 2*(S + m*M) == sum(weights) the target row is
     half the sum of the weight rows, so the last weight row is twice the
     target row minus the others, and that guess reduces the same lattice
@@ -197,9 +209,9 @@ class SubsetSumAttack:
             T = S + m * M
             target_row = self._ones + (self._scale * T,)
             if 2 * T == total:
-                reduced = ReducedBasis(self._weight_rows[:-1] + [target_row], DEFAULT_DELTA).lattice
+                reduced = ReducedBasis(self._weight_rows[:-1] + [target_row], DEFAULT_DELTA)
             else:
-                reduced = self._base.appended(target_row).lattice
+                reduced = self._base.appended(target_row)
             x = _scan_reduced(reduced, self.weights, S, M, self.assp_map)
             if x is not None:
                 return x

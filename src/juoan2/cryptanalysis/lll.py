@@ -5,15 +5,17 @@ coefficients lambda_ij = mu_ij * d_j; Cohen, "A Course in Computational
 Algebraic Number Theory", Alg. 2.6.7, after de Weger, 1987), so every
 comparison is exact; this is algebraically identical to rational
 Gram-Schmidt but avoids fraction normalization.  One recurrence step
-(`_projected`) computes that data as each row joins, in O(k^2) big-integer
-work for a row joining k others (a swap updates it by its own formula):
-`ReducedBasis` keeps it after a reduction, so a row can be appended to a
-reduced basis without reducing the rest again, and the reducedness checks
-`is_size_reduced` and `lovasz_holds` read it directly.  The coefficients are
-linear in the row, so `ReducedBasis` also keeps them for the unit vector of
-the last column, the subset-sum embedding column, and incorporates the
-weight and target rows of the attack lattices in O(k) from them (the
-support union that tells a weight row is read from the current rows, not kept).
+(`_projected`) computes that data as a general row joins, in O(k^2)
+big-integer work for a row joining k others (a swap updates it by its own
+formula): `ReducedBasis` keeps it after a reduction, so a row can be
+appended to a reduced basis without reducing the rest again, and the
+reducedness checks `is_size_reduced` and `lovasz_holds` read it directly.
+The coefficients are linear in the row, so `ReducedBasis` also keeps them
+for the unit vector e of the last column, the subset-sum embedding column,
+with one more integer, E, the Gram determinant of the rows and e.  Unimodular
+steps leave E as it is and a join updates it in O(1); from the two, the
+weight and target rows of the attack lattices join with their Gram
+determinant in O(1) big-integer work and their coefficients in O(k).
 The reducer stores basis rows sparsely, as {column: nonzero entry}: the
 subset-sum bases of the attack stay mostly zero while they are reduced, so a
 row update or a dot product costs the nonzero entries of a row, not its
@@ -112,18 +114,17 @@ def _coefficients(row: Sequence[int], b: list[dict[int, int]], d: list[int],
     return mu
 
 
-def _join(row: Sequence[int], mu: list[int], b: list[dict[int, int]], d: list[int],
+def _join(row: dict[int, int], mu: list[int], u: int, b: list[dict[int, int]], d: list[int],
           lam: list[list[int]]) -> None:
-    """Append `row`, whose coefficients against b are `mu`, to the rows b.
+    """Append the sparse `row`, whose coefficients against b are `mu` and
+    whose Gram determinant with b is `u`, to the rows b.
 
-    Only its Gram determinant is left to compute: O(k) big-integer work.
-    Raises ParameterError, leaving b, d and lam unchanged, if `row`
-    depends on b.
+    Raises ParameterError, leaving b, d and lam unchanged, if u == 0: the
+    row depends on b.
     """
-    u = _projected(sum(x * x for x in row), mu, mu, d)
     if u == 0:
         raise ParameterError(f"basis is rank deficient at row {len(b) + 1}")
-    b.append({c: x for c, x in enumerate(row) if x})
+    b.append(row)
     d.append(u)
     lam.append(mu)
 
@@ -137,7 +138,9 @@ def _gram_data(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]
     for row in rows:
         if len(row) != len(rows[0]):
             raise ParameterError("rows have unequal lengths")
-        _join(row, _coefficients(row, b, d, lam), b, d, lam)
+        mu = _coefficients(row, b, d, lam)
+        u = _projected(sum(x * x for x in row), mu, mu, d)
+        _join({c: x for c, x in enumerate(row) if x}, mu, u, b, d, lam)
     return d, lam
 
 
@@ -175,20 +178,26 @@ class ReducedBasis:
     the same loop from it, instead of an O(n^3) reduction from scratch.
 
     Incorporating a row takes O(n^2) big-integer work in general, but O(n)
-    for the two shapes the subset-sum attack feeds in.  The coefficients
+    for the two shapes the subset-sum attack feeds in, of which the Gram
+    determinant and lambda_k(e) take O(1).  The coefficients
     lambda_j(x) = d_j * <x, b*_j> are linear in x, and the basis keeps
     lambda(e) current for e, the unit vector of its last column (the
     embedding column): a join extends it by one coefficient and a swap
-    updates it like a row below the swapped pair.  A row x = r + a*e takes
-    lambda(x) = lambda(r) + a*lambda(e), where
-    - lambda(r) = 0 when r is zero on every used column, the union of the
-      supports of the rows given (a weight row (2e_i | s*w_i)); no
-      unimodular transform changes that union, so it is read from the
-      current rows, not kept;
-    - `appended` computes lambda(r) by the general recurrence and keeps it
-      for the last r it met, so the rows that differ only in the last
-      column (every wrap guess's target row (1, ..., 1 | s*T)) pay for it
-      once per base.
+    updates it like a row below the swapped pair.  It also keeps
+    E = d_k * |e*|^2, the Gram determinant of its k rows and e: E starts at
+    1, no size reduction or swap changes it (each is unimodular), and a join
+    of b_k sets it to (d_{k+1} * E - lambda_k(e)^2) // d_k.  A row
+    x = r + t*e takes lambda(x) = lambda(r) + t*lambda(e), where
+    - r is zero on every used column, the union of the supports of the rows
+      (a weight row (2e_i | s*w_i)): then lambda(r) = 0, r is orthogonal to
+      the rows and to e, d_{k+1} = d_k * |r|^2 + t^2 * E and
+      lambda_k(e) = t * E.  No unimodular transform changes that union, so
+      the basis keeps it as a set that each join extends;
+    - `appended` computes lambda(r) by the general recurrence, with
+      R = d_k * |r*|^2 and X = d_k * <r*, e*>, and keeps them for the last r
+      it met: then d_{k+1} = R + 2t * X + t^2 * E and lambda_k(e) = X + t * E,
+      so the rows that differ only in the last column (every wrap guess's
+      target row (1, ..., 1 | s*T)) pay for the recurrence once per base.
     Every other row given to the constructor takes the general recurrence.
     Every path gives the same integers, so the reduction is the same
     whichever path a row took.
@@ -196,7 +205,8 @@ class ReducedBasis:
     Rows are stored sparsely, as {column: nonzero entry} dicts of one common
     width, and size reduction updates them in place over the support of the
     row subtracted; subset-sum bases stay mostly zero, so this skips most of
-    each dense row update.  `lattice` gives the rows back as dense tuples.
+    each dense row update.  `sparse_rows` gives them as they are kept, and
+    `lattice` as dense tuples.
 
     Raises ParameterError on dependent rows, rows of unequal length, or
     delta outside (1/4, 1).
@@ -211,9 +221,16 @@ class ReducedBasis:
         self._d = [1]  # integral Gram-Schmidt data, as `_coefficients` defines it
         self._lam: list[list[int]] = []
         self._probe: list[int] = []  # lambda_j(e) for e the unit vector of the last column
-        self._shared: tuple[tuple[int, ...], list[int]] | None = None  # see `appended`
+        self._gram_e = 1  # the Gram determinant of (the rows, e)
+        self._used: set[int] = set()  # the columns but the last where some row is nonzero
+        self._shared: tuple[tuple[int, ...], list[int], int, int] | None = None  # see `appended`
         for row in rows:
             self._push(row)
+
+    @property
+    def sparse_rows(self) -> list[dict[int, int]]:
+        """The rows as {column: nonzero entry} dicts, not copied: read them, do not change them."""
+        return self._b
 
     @property
     def lattice(self) -> IntegerLattice:
@@ -230,45 +247,56 @@ class ReducedBasis:
 
         Every row dict is copied: the reduction updates rows in place, so a
         shared one would change this basis under its kept data.  This basis
-        keeps lambda of the last `row` it was given with its last entry set
-        to 0, so a row that differs from that one only in its last entry
-        costs O(n) to incorporate.
+        keeps lambda(r), R and X (see the class) for r the last `row` it was
+        given with its last entry set to 0, so a row that differs from that
+        one only in its last entry costs O(n) to incorporate.
         """
         head = None
         if len(row) == self._width:  # else `_push` raises
             key = tuple(row[:-1])
             if self._shared is None or self._shared[0] != key:
-                self._shared = (key, _coefficients(key + (0,), self._b, self._d, self._lam))
-            head = self._shared[1]
+                d = self._d
+                lam_r = _coefficients(key + (0,), self._b, d, self._lam)
+                self._shared = (key, lam_r, _projected(sum(x * x for x in key), lam_r, lam_r, d),
+                                _projected(0, lam_r, self._probe, d))
+            head = self._shared[1:]
         new = ReducedBasis(delta=self.delta)
         new._width = self._width
         new._b = [dict(r) for r in self._b]
         new._d = list(self._d)
         new._lam = [list(r) for r in self._lam]
         new._probe = list(self._probe)
+        new._gram_e = self._gram_e
+        new._used = set(self._used)
         new._push(row, head)
         return new
 
-    def _fresh(self, row: Sequence[int]) -> bool:
-        """Whether `row` is zero on every column but the last that a row of the basis uses."""
-        cols = {c for c in range(len(row) - 1) if row[c]}
-        return all(r.keys().isdisjoint(cols) for r in self._b)
-
-    def _push(self, row: Sequence[int], head: list[int] | None = None) -> None:
-        """Join `row` and reduce; `head` is lambda of `row` with its last entry set to 0, if known."""
+    def _push(self, row: Sequence[int], head: tuple[list[int], int, int] | None = None) -> None:
+        """Join `row` and reduce; `head` is (lambda(r), R, X) for r the row
+        with its last entry set to 0, if known (see the class)."""
         if not self._b:
             self._width = len(row)
         if len(row) != self._width:
             raise ParameterError("rows have unequal lengths")
-        b, d, lam, probe = self._b, self._d, self._lam, self._probe
+        b, d, lam, probe, E = self._b, self._d, self._lam, self._probe, self._gram_e
+        sparse = {c: x for c, x in enumerate(row) if x}
+        t = sparse.get(self._width - 1, 0)  # the entry in the last column
         if head is not None:
-            mu = [h + row[-1] * c for h, c in zip(head, probe)]
-        elif self._fresh(row):
-            mu = [row[-1] * c for c in probe]
+            lam_r, R, X = head
+            mu = [h + t * c for h, c in zip(lam_r, probe)]
+            u, lam_e = R + 2 * t * X + t * t * E, X + t * E
+        elif self._used.isdisjoint(sparse):
+            mu = [t * c for c in probe]
+            u, lam_e = d[-1] * (sum(x * x for x in sparse.values()) - t * t) + t * t * E, t * E
         else:
             mu = _coefficients(row, b, d, lam)
-        _join(row, mu, b, d, lam)
-        probe.append(_projected(row[-1], probe, mu, d))  # lambda_k(e) for the new row b_k
+            u = _projected(sum(x * x for x in sparse.values()), mu, mu, d)
+            lam_e = _projected(t, probe, mu, d)
+        _join(sparse, mu, u, b, d, lam)
+        probe.append(lam_e)  # lambda_k(e) for the new row b_k
+        self._gram_e = (u * E - lam_e * lam_e) // d[-2]
+        self._used.update(sparse)
+        self._used.discard(self._width - 1)
         if len(b) > 1:
             self._reduce_last()
 

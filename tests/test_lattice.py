@@ -452,6 +452,37 @@ def test_one_attack_object_answers_every_target_as_a_fresh_call():
             assert [attack(S) for S in reversed(targets)] == fresh[::-1]
 
 
+def test_sparse_scan_reads_what_the_dense_scan_reads(monkeypatch):
+    # Pinned instances of test_lattice_attack_outputs_are_pinned, every wrap
+    # guess each attack tries: the scan of a guess's sparse rows returns the
+    # x that the scan of its dense lattice returns, hit or miss.
+    from juoan2.encrypt import encrypt_block, extend_block, sample_noise
+
+    scan, seen = lattice._scan_reduced, []
+
+    def both(reduced, *args):
+        x = scan(reduced, *args)
+        assert not isinstance(reduced, IntegerLattice)
+        assert x == scan(reduced.lattice, *args)
+        seen.append(x is not None)
+        return x
+
+    monkeypatch.setattr(lattice, "_scan_reduced", both)
+    for bits, seeds in ((40, range(10)), (22, range(100, 110))):
+        for seed in seeds:
+            weights, _, S, M = planted_ssp_instance(20, bits, Random(seed))
+            lattice_attack(weights, S, M)
+    for n, keys, max_wraps in ((4, 20, None), (8, 6, None), (16, 4, 8)):
+        for seed in range(keys):
+            rng = Random(1000 * n + seed)
+            pub, _ = keygen(n, rng)
+            block = extend_block([rng.randint(0, 1) for _ in range(n)], rng)
+            ct = encrypt_block(pub, block, sample_noise(block.n_total, rng))
+            weights, var_map = expand_assp_to_ssp(pub)
+            lattice_attack(weights, ct.S, pub.M, assp_map=var_map, max_wraps=max_wraps)
+    assert any(seen) and not all(seen)
+
+
 def test_assp_attack_candidates_must_be_structurally_consistent():
     # On a tiny genuine key the expanded attack must never return a bit
     # assignment whose multiplicities fail the downward L-scan.

@@ -316,6 +316,18 @@ def test_rank_deficient_basis_raises_like_the_reference():
             reduce(basis)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: lll_reduce(IntegerLattice(((),))),  # width 0: no last column
+    lambda: ReducedBasis().appended(()),
+    lambda: ReducedBasis([(0, 0)]),  # the fresh join of a zero row
+    lambda: ReducedBasis([(1, 0)]).appended((0, 0)),  # a head join
+    lambda: ReducedBasis([(1, 2), (3, 4)]).appended((5, 6)),  # rows that span e
+])
+def test_every_join_path_refuses_a_dependent_row(build):
+    with pytest.raises(ParameterError, match="rank deficient"):
+        build()
+
+
 def test_appended_shares_no_row_with_its_base():
     # Size reduction updates rows in place: a row shared with the base would
     # change the base under its kept Gram-Schmidt data, and a later append
@@ -609,3 +621,82 @@ def test_wrap_guesses_from_one_base_match_fresh_reductions_at_the_attack_size(se
             assert warm.lattice == want
             assert (warm._d, warm._lam) == _gram_data(want.rows)
             assert warm._probe == fresh_unit_coefficients(warm)
+
+
+def gram_with_unit(basis: ReducedBasis) -> int:
+    """The Gram determinant of the basis's rows and e, the unit vector of its
+    last column, by the general recurrence."""
+    e = (0,) * (basis._width - 1) + (1,)
+    return _gram_data(basis.lattice.rows + (e,))[0][-1]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_kept_gram_determinant_with_the_unit_vector_matches_the_recurrence(seed):
+    # Fewer rows than columns but one leave e outside their span.  The first
+    # rows sit on columns of their own (the weight-row join), the rest share
+    # every column (the general recurrence), and the appends share one head.
+    rng = Random(seed)
+    width = rng.randint(4, 8)
+    fresh = [tuple(rng.randint(-50, 50) if c in (i, width - 1) else 0 for c in range(width))
+             for i in range(2)]
+    dense = [tuple(rng.randint(-50, 50) for _ in range(width)) for _ in range(width - 4)]
+    with time_limit(10):
+        base = ReducedBasis()
+        assert base._gram_e == 1
+        for row in fresh + dense:
+            base._push(row)
+            assert base._gram_e == gram_with_unit(base) > 0
+        other = tuple(rng.randint(-9, 9) for _ in range(width - 1))
+        for row in (other + (7,), other + (-3,), other + (0,)):  # one head, then kept
+            warm = base.appended(row)
+            assert warm._gram_e == gram_with_unit(warm) > 0
+        assert base._gram_e == gram_with_unit(base)
+
+
+def test_kept_gram_determinant_is_zero_once_the_rows_span_the_unit_vector():
+    square = random_basis(Random(3), 5, 50)
+    assert ReducedBasis(square.rows)._gram_e == 0
+    assert ReducedBasis(square.rows[:-1]).appended(square.rows[-1])._gram_e == 0
+    # 3e joins on no used column; the rows after it join with E = 0
+    base = ReducedBasis([(2, 0, 0, 5), (0, 0, 0, 3)])
+    assert base._gram_e == 0
+    base._push((0, 0, 4, 1))
+    warm = base.appended((1, 1, 1, 8))
+    for basis in (base, warm):
+        assert basis._gram_e == 0
+        assert (basis._d, basis._lam) == _gram_data(basis.lattice.rows)
+        assert basis._probe == fresh_unit_coefficients(basis)
+
+
+def test_attack_rows_join_without_the_general_recurrence(monkeypatch):
+    # The n = 16 ASSP weight rows and four wrap guesses: the weight rows and
+    # every guess's target row join without a `_projected` call, but for the
+    # one head the first guess computes: lambda(r) in k calls, R and X in one each.
+    rng = Random(16)
+    pub, _ = keygen(16, rng)
+    weights, _ = expand_assp_to_ssp(pub)
+    S = encrypt_message(pub, b"guesses", rng)[0].S
+    weight_rows = build_plain_ssp_lattice(weights, S).rows[:-1]
+    targets = [build_plain_ssp_lattice(weights, S + m * pub.M).rows[-1] for m in range(4)]
+    assert all(2 * (S + m * pub.M) != sum(weights) for m in range(4))
+    calls = []
+    general = lll._projected
+
+    def counted(*args):
+        calls.append(1)
+        return general(*args)
+
+    monkeypatch.setattr(lll, "_projected", counted)
+    counts = []
+    with time_limit(20):
+        base = ReducedBasis(weight_rows)
+        counts.append(len(calls))
+        warm = []
+        for target in targets:
+            warm.append(base.appended(target))
+            counts.append(len(calls))
+    monkeypatch.undo()
+    k = len(weight_rows)
+    assert counts == [0] + [k + 2] * 4
+    assert base._gram_e == gram_with_unit(base) > 0
+    assert [w._gram_e for w in warm] == [0] * 4  # 95 independent rows of width 95 span e
