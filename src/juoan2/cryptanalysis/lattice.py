@@ -116,7 +116,7 @@ def block_from_kappa(kappa: dict[int, int], n_tilde: int) -> tuple[int, ...] | N
 
 
 def _scan_reduced(
-    reduced: IntegerLattice | ReducedBasis,
+    reduced: ReducedBasis,
     weights: Sequence[int],
     S: int,
     M: int,
@@ -124,27 +124,17 @@ def _scan_reduced(
 ) -> tuple[int, ...] | None:
     """The first verified bits x read off a reduced row +-(2x - 1 | 0), or None.
 
-    The rows of a `ReducedBasis` are read sparse, as it keeps them: only a
-    row with exactly n entries, none in the last column, can be
-    +-(2x - 1 | 0), so no other row is densified.  Both signs of a row are
-    tried, as both pass the sum check when 2S == sum(weights) (mod M) and
-    only one may decode to a block.
+    The rows of that shape are picked out packed, as the basis keeps them
+    (`ReducedBasis.sign_rows`): -(2x - 1 | 0) is (2(1 - x) - 1 | 0), so one
+    test finds both signs.  Both signs of a row are tried, + first, as both
+    pass the sum check when 2S == sum(weights) (mod M) and only one may
+    decode to a block.
     """
     n = len(weights)
     if assp_map is not None:
         n_tilde = max(i for i, _ in assp_map)
-    if isinstance(reduced, IntegerLattice):
-        rows = [{c: v for c, v in enumerate(vec) if v} for vec in reduced.rows]
-    else:
-        rows = reduced.sparse_rows
-    for row in rows:
-        if len(row) != n or n in row:
-            continue
-        vec = [row[c] for c in range(n)]
-        if any(abs(v) != 1 for v in vec):
-            continue
-        for sign in (1, -1):
-            x = tuple((sign * v + 1) // 2 for v in vec)
+    for plus in reduced.sign_rows(n):
+        for x in (plus, tuple(1 - b for b in plus)):
             if not any(x) or sum(b * w for b, w in zip(x, weights)) % M != S:
                 continue
             # x is nonzero, so kappa is too, and its block is None or has a set bit
@@ -168,12 +158,13 @@ class SubsetSumAttack:
     takes in each weight row, on a column of its own, and each target row
     after the first, which differ only in the embedding column, with n
     products for its coefficients and O(1) big-integer work for its Gram
-    determinant, and each guess's reduced rows are scanned sparse, as the
-    basis keeps them: what a guess costs is the LLL loop from its row, and
-    copying the base.  When 2*(S + m*M) == sum(weights) the target row is
-    half the sum of the weight rows, so the last weight row is twice the
-    target row minus the others, and that guess reduces the same lattice
-    from the other weight rows and the target row.  The guesses are
+    determinant, and each guess's reduced rows are scanned packed, as the
+    basis keeps them, in two big-integer operations a row: what a guess
+    costs is the LLL loop from its row, and copying the base's list of
+    rows.  When 2*(S + m*M) == sum(weights) the target row is half the sum
+    of the weight rows, so the last weight row is twice the target row
+    minus the others, and that guess reduces the same lattice from the
+    other weight rows and the target row.  The guesses are
     m = 0 ... (sum(weights) - S) // M, or up to `max_wraps` if that is
     smaller, so the cap counts m from 0: the weights are >= 0, so the
     lattice of a target above their sum holds no (+-1 | 0) vector.  They are

@@ -16,19 +16,20 @@ with one more integer, E, the Gram determinant of the rows and e.  Unimodular
 steps leave E as it is and a join updates it in O(1); from the two, the
 weight and target rows of the attack lattices join with their Gram
 determinant in O(1) big-integer work and their coefficients in O(k).
-The reducer stores basis rows sparsely, as {column: nonzero entry}: the
-subset-sum bases of the attack stay mostly zero while they are reduced, so a
-row update or a dot product costs the nonzero entries of a row, not its
-width.  The integral arithmetic and its order are those of a dense reducer,
-so the reduced rows are the same.  `lll_reduce` is the one-shot form of the
-reducer; `gram_schmidt` (rational) is the reference the tests compare these
-against.
+The reducer stores each basis row as one integer, its entries packed as
+balanced base-2^W digits (Kronecker substitution), so a size reduction is
+one big-integer multiply-subtract and a swap swaps two integers; the rows
+are decoded only in reduced states, where every entry fits its slot (see
+`ReducedBasis`).  The integral arithmetic and its order are those of a
+dense reducer, so the reduced rows are the same.  `lll_reduce` is the
+one-shot form of the reducer; `gram_schmidt` (rational) is the reference
+the tests compare these against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from ..errors import ParameterError
 
@@ -85,6 +86,23 @@ def gram_schmidt(rows: Sequence[Sequence[int]]) -> tuple[list[list[Fraction]], l
     return star, mu
 
 
+def _pack(row: Sequence[int], w: int) -> int:
+    """The row as one integer, sum of x_c * 2^(w*c): its entries become balanced base-2^w digits."""
+    return sum(x << w * c for c, x in enumerate(row) if x)
+
+
+def _unpack(packed: Iterable[int], width: int, w: int) -> list[list[int]]:
+    """The `width` entries of each packed row, each of which must lie in [-2^(w-1), 2^(w-1)).
+
+    Adding 2^(w-1) to every slot makes each digit nonnegative and below
+    2^w, so the digits are the w-bit fields of the sum, with no carries.
+    """
+    half, mask = 1 << w - 1, (1 << w) - 1
+    offset = ((1 << w * width) - 1) // mask * half
+    shifts = range(0, w * width, w)
+    return [[(q >> s & mask) - half for s in shifts] for q in [p + offset for p in packed]]
+
+
 def _projected(u: int, x: Sequence[int], y: Sequence[int], d: list[int]) -> int:
     """d[k] * <a, c*>, for c* the part of c orthogonal to the first k rows, k = len(y).
 
@@ -98,26 +116,25 @@ def _projected(u: int, x: Sequence[int], y: Sequence[int], d: list[int]) -> int:
     return u
 
 
-def _coefficients(row: Sequence[int], b: list[dict[int, int]], d: list[int],
+def _coefficients(row: Sequence[int], b: Sequence[Sequence[int]], d: list[int],
                   lam: list[list[int]]) -> list[int]:
     """lambda_j(row) = d[j] * <row, b*_j> for every row b_j of b, by the general recurrence.
 
-    The rows b are stored sparsely, as {column: nonzero entry}; `row` is
-    dense.  d[i] is the Gram determinant of the first i rows and lam[k][j]
-    is lambda_j(b_k) = mu_kj * d[j+1] for j < k; both stay integers.  Each
-    dot product runs over the support of a row of b, then O(k^2) big-integer
-    work for k rows.  lambda_j is linear in `row`.
+    d[i] is the Gram determinant of the first i rows and lam[k][j] is
+    lambda_j(b_k) = mu_kj * d[j+1] for j < k; both stay integers.  One dot
+    product per row of b, then O(k^2) big-integer work for k rows.
+    lambda_j is linear in `row`.
     """
     mu: list[int] = []
     for bj, lam_j in zip(b, lam):
-        mu.append(_projected(sum(x * row[c] for c, x in bj.items()), mu, lam_j, d))
+        mu.append(_projected(sum(x * y for x, y in zip(bj, row) if x), mu, lam_j, d))
     return mu
 
 
-def _join(row: dict[int, int], mu: list[int], u: int, b: list[dict[int, int]], d: list[int],
+def _join(row: Sequence[int] | int, mu: list[int], u: int, b: list, d: list[int],
           lam: list[list[int]]) -> None:
-    """Append the sparse `row`, whose coefficients against b are `mu` and
-    whose Gram determinant with b is `u`, to the rows b.
+    """Append `row`, whose coefficients against b are `mu` and whose Gram
+    determinant with b is `u`, to the rows b, dense or packed like it.
 
     Raises ParameterError, leaving b, d and lam unchanged, if u == 0: the
     row depends on b.
@@ -140,7 +157,7 @@ def _gram_data(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]
             raise ParameterError("rows have unequal lengths")
         mu = _coefficients(row, b, d, lam)
         u = _projected(sum(x * x for x in row), mu, mu, d)
-        _join({c: x for c, x in enumerate(row) if x}, mu, u, b, d, lam)
+        _join(row, mu, u, b, d, lam)
     return d, lam
 
 
@@ -202,11 +219,23 @@ class ReducedBasis:
     Every path gives the same integers, so the reduction is the same
     whichever path a row took.
 
-    Rows are stored sparsely, as {column: nonzero entry} dicts of one common
-    width, and size reduction updates them in place over the support of the
-    row subtracted; subset-sum bases stay mostly zero, so this skips most of
-    each dense row update.  `sparse_rows` gives them as they are kept, and
-    `lattice` as dense tuples.
+    Each row x is stored as one integer, sum of x_c * 2^(W*c), and the
+    reduction updates those integers exactly: a size reduction is one
+    multiply-subtract and a swap exchanges two of them.  The map is linear,
+    so a packed row stays the image of its true row whatever the entries
+    grow to in the middle of a reduction; it decodes uniquely when every
+    entry lies in [-2^(W-1), 2^(W-1)), and it is decoded only in reduced
+    states (`lattice`, the general recurrence, the head of `appended`, the
+    attack's scan), where every entry does.  W = bitlen(m) + bitlen(width)
+    + 1 for m the largest |entry| of any row joined so far: LLL never raises
+    the largest |b*_i|, and a join adds a b* no longer than its row, so every
+    |b*_i| <= N, the largest norm of a row joined, and N^2 <= width * m^2.
+    The i-th row (from 1) of a size-reduced basis has
+    |b_i|^2 <= N^2 * (i + 3) / 4, and i <= width, so each entry of a reduced
+    basis is at most width * m < 2^(W-1).  A row that needs a wider
+    slot first repacks the rows kept, which keeps their values; `appended`
+    widens this basis so that its copies need not.  `lattice` decodes the
+    rows, and `sign_rows` picks out the rows of +-1s without decoding them.
 
     Raises ParameterError on dependent rows, rows of unequal length, or
     delta outside (1/4, 1).
@@ -217,7 +246,9 @@ class ReducedBasis:
             raise ParameterError(f"delta must lie in (1/4, 1), got {delta}")
         self.delta = delta
         self._width = 0  # the length of every row, set by the first
-        self._b: list[dict[int, int]] = []
+        self._bits = 0  # bitlen of the largest |entry| of any row joined
+        self._slot = 1  # W, the slot width of the packed rows
+        self._b: list[int] = []  # the rows, packed
         self._d = [1]  # integral Gram-Schmidt data, as `_coefficients` defines it
         self._lam: list[list[int]] = []
         self._probe: list[int] = []  # lambda_j(e) for e the unit vector of the last column
@@ -227,42 +258,62 @@ class ReducedBasis:
         for row in rows:
             self._push(row)
 
-    @property
-    def sparse_rows(self) -> list[dict[int, int]]:
-        """The rows as {column: nonzero entry} dicts, not copied: read them, do not change them."""
-        return self._b
+    def sign_rows(self, n: int) -> Iterator[tuple[int, ...]]:
+        """x in {0, 1}^n for each row, in order, that is (2x - 1 | 0): +-1 on
+        the first n columns and 0 on the rest.
+
+        Each row P is tested packed, in two big-integer operations: with ONES
+        the packed (1, ..., 1 | 0) of n ones, P is (2x - 1 | 0) exactly when
+        P + ONES is (2x | 0), i.e. when it is >= 0 and has no bit but bit 1 of
+        each of the first n slots, as the base-2^W digits of a reduced row
+        are unique; x_c is then bit W*c + 1 of it.
+        """
+        w = self._slot
+        ones = ((1 << w * n) - 1) // ((1 << w) - 1)
+        gaps = ~(ones << 1)  # every bit of P + ONES that must be 0, the sign bits included
+        for p in self._b:
+            q = p + ones
+            if not q & gaps:
+                yield tuple((q >> w * c + 1) & 1 for c in range(n))
 
     @property
     def lattice(self) -> IntegerLattice:
-        dense = []
-        for row in self._b:
-            out = [0] * self._width
-            for c, x in row.items():
-                out[c] = x
-            dense.append(tuple(out))
-        return IntegerLattice(tuple(dense))
+        return IntegerLattice(tuple(map(tuple, self._rows())))
+
+    def _rows(self) -> list[list[int]]:
+        return _unpack(self._b, self._width, self._slot)
+
+    def _widen(self, row: Sequence[int]) -> None:
+        """Make the slots wide enough for `row` to join (see the class)."""
+        bits = max(map(abs, row), default=0).bit_length()
+        if bits > self._bits:
+            rows = self._rows()
+            self._bits = bits
+            self._slot = bits + self._width.bit_length() + 1
+            self._b = [_pack(r, self._slot) for r in rows]
 
     def appended(self, row: Sequence[int]) -> ReducedBasis:
-        """The reduction of these rows plus `row`, as a new object; self is unchanged.
+        """The reduction of these rows plus `row`, as a new object; self keeps its rows.
 
-        Every row dict is copied: the reduction updates rows in place, so a
-        shared one would change this basis under its kept data.  This basis
-        keeps lambda(r), R and X (see the class) for r the last `row` it was
-        given with its last entry set to 0, so a row that differs from that
-        one only in its last entry costs O(n) to incorporate.
+        The rows are immutable integers, so the copy shares them; this basis
+        first widens its slots for `row` if it must, so the copies do not
+        repack.  It also keeps lambda(r), R and X (see the class) for r the
+        last `row` it was given with its last entry set to 0, so a row that
+        differs from that one only in its last entry costs O(n) to incorporate.
         """
         head = None
         if len(row) == self._width:  # else `_push` raises
+            self._widen(row)
             key = tuple(row[:-1])
             if self._shared is None or self._shared[0] != key:
                 d = self._d
-                lam_r = _coefficients(key + (0,), self._b, d, self._lam)
+                lam_r = _coefficients(key + (0,), self._rows(), d, self._lam)
                 self._shared = (key, lam_r, _projected(sum(x * x for x in key), lam_r, lam_r, d),
                                 _projected(0, lam_r, self._probe, d))
             head = self._shared[1:]
         new = ReducedBasis(delta=self.delta)
-        new._width = self._width
-        new._b = [dict(r) for r in self._b]
+        new._width, new._bits, new._slot = self._width, self._bits, self._slot
+        new._b = list(self._b)
         new._d = list(self._d)
         new._lam = [list(r) for r in self._lam]
         new._probe = list(self._probe)
@@ -278,24 +329,25 @@ class ReducedBasis:
             self._width = len(row)
         if len(row) != self._width:
             raise ParameterError("rows have unequal lengths")
+        self._widen(row)
         b, d, lam, probe, E = self._b, self._d, self._lam, self._probe, self._gram_e
-        sparse = {c: x for c, x in enumerate(row) if x}
-        t = sparse.get(self._width - 1, 0)  # the entry in the last column
+        support = {c for c, x in enumerate(row) if x}
+        t = row[-1] if row else 0  # the entry in the last column
         if head is not None:
             lam_r, R, X = head
             mu = [h + t * c for h, c in zip(lam_r, probe)]
             u, lam_e = R + 2 * t * X + t * t * E, X + t * E
-        elif self._used.isdisjoint(sparse):
+        elif self._used.isdisjoint(support):
             mu = [t * c for c in probe]
-            u, lam_e = d[-1] * (sum(x * x for x in sparse.values()) - t * t) + t * t * E, t * E
+            u, lam_e = d[-1] * (sum(x * x for x in row) - t * t) + t * t * E, t * E
         else:
-            mu = _coefficients(row, b, d, lam)
-            u = _projected(sum(x * x for x in sparse.values()), mu, mu, d)
+            mu = _coefficients(row, self._rows(), d, lam)
+            u = _projected(sum(x * x for x in row), mu, mu, d)
             lam_e = _projected(t, probe, mu, d)
-        _join(sparse, mu, u, b, d, lam)
+        _join(_pack(row, self._slot), mu, u, b, d, lam)
         probe.append(lam_e)  # lambda_k(e) for the new row b_k
         self._gram_e = (u * E - lam_e * lam_e) // d[-2]
-        self._used.update(sparse)
+        self._used.update(support)
         self._used.discard(self._width - 1)
         if len(b) > 1:
             self._reduce_last()
@@ -308,14 +360,8 @@ class ReducedBasis:
 
         def size_reduce(k: int, j: int) -> None:
             if 2 * abs(lam[k][j]) > d[j + 1]:
-                r = (2 * lam[k][j] + d[j + 1]) // (2 * d[j + 1])  # nearest integer, not 0
-                bk = b[k]
-                for c, y in b[j].items():
-                    x = bk.get(c, 0) - r * y
-                    if x:
-                        bk[c] = x
-                    else:  # only an entry of b[k] can cancel, as r * y != 0
-                        del bk[c]
+                r = (2 * lam[k][j] + d[j + 1]) // (2 * d[j + 1])  # nearest integer
+                b[k] -= r * b[j]
                 lam[k][j] -= r * d[j + 1]
                 for i in range(j):
                     lam[k][i] -= r * lam[j][i]

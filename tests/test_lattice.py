@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from juoan2 import ParameterError, keygen
 from juoan2.cryptanalysis import (
-    IntegerLattice,
+    ReducedBasis,
     SubsetSumAttack,
     basis_from_generators,
     block_from_kappa,
@@ -25,7 +25,7 @@ from juoan2.cryptanalysis import (
 )
 from juoan2.cryptanalysis.oracles import brute_force_assp
 
-from test_lll import solve_rational
+from test_lll import dense_scan, solve_rational
 
 from conftest import time_limit
 
@@ -176,7 +176,7 @@ def test_modular_lattice_reduction_is_parity_junk():
 
 def modular_pass_solution(weights, S, M):
     """A verified solution read off one reduction of the modular lattice, or None."""
-    reduced = lll_reduce(basis_from_generators(build_ssp_lattice(weights, S, M)))
+    reduced = ReducedBasis(basis_from_generators(build_ssp_lattice(weights, S, M)).rows)
     return lattice._scan_reduced(reduced, weights, S, M, None)
 
 
@@ -305,7 +305,7 @@ def every_guess_attack(weights, S, M, assp_map=None):
         rows = build_plain_ssp_lattice(weights, T).rows
         if 2 * T == total:  # the last weight row depends on the others
             rows = rows[:-2] + rows[-1:]
-        x = lattice._scan_reduced(lll_reduce(IntegerLattice(rows)), weights, S, M, assp_map)
+        x = lattice._scan_reduced(ReducedBasis(rows), weights, S, M, assp_map)
         if x is not None:
             return x
     return None
@@ -454,16 +454,15 @@ def test_one_attack_object_answers_every_target_as_a_fresh_call():
 
 def test_sparse_scan_reads_what_the_dense_scan_reads(monkeypatch):
     # Pinned instances of test_lattice_attack_outputs_are_pinned, every wrap
-    # guess each attack tries: the scan of a guess's sparse rows returns the
-    # x that the scan of its dense lattice returns, hit or miss.
+    # guess each attack tries: the scan of a guess's packed rows returns the
+    # x that the entry-by-entry scan of its dense rows returns, hit or miss.
     from juoan2.encrypt import encrypt_block, extend_block, sample_noise
 
     scan, seen = lattice._scan_reduced, []
 
     def both(reduced, *args):
         x = scan(reduced, *args)
-        assert not isinstance(reduced, IntegerLattice)
-        assert x == scan(reduced.lattice, *args)
+        assert x == dense_scan(reduced.lattice.rows, *args)
         seen.append(x is not None)
         return x
 

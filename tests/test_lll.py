@@ -14,16 +14,18 @@ from juoan2.cryptanalysis import (
     IntegerLattice,
     ReducedBasis,
     basis_from_generators,
+    block_from_kappa,
     build_plain_ssp_lattice,
     expand_assp_to_ssp,
     gram_schmidt,
     is_size_reduced,
+    kappa_from_assignment,
     lll_reduce,
     lovasz_holds,
     planted_ssp_instance,
 )
-from juoan2.cryptanalysis import lll
-from juoan2.cryptanalysis.lll import _coefficients, _gram_data
+from juoan2.cryptanalysis import lattice, lll
+from juoan2.cryptanalysis.lll import _coefficients, _gram_data, _pack, _unpack
 
 from conftest import time_limit
 
@@ -329,16 +331,26 @@ def test_every_join_path_refuses_a_dependent_row(build):
 
 
 def test_appended_shares_no_row_with_its_base():
-    # Size reduction updates rows in place: a row shared with the base would
-    # change the base under its kept Gram-Schmidt data, and a later append
-    # from it need not terminate.  One append shows the sharing at once.
-    weights, _, S, _ = planted_ssp_instance(12, 24, Random(5))
+    # The copies share the base's packed rows, which are immutable integers;
+    # what must not be shared is state that a reduction changes.  Two appends
+    # leave the base's rows and kept data as they were, and a third from the
+    # same base gives what a fresh reduction gives.
+    weights, _, S, M = planted_ssp_instance(12, 24, Random(5))
     rows = build_plain_ssp_lattice(weights, S).rows
     base = ReducedBasis(rows[:-1])
-    before = base.lattice, list(base._d), [list(r) for r in base._lam]
-    warm = base.appended(rows[-1])
-    assert not {id(r) for r in base._b} & {id(r) for r in warm._b}
-    assert (base.lattice, base._d, base._lam) == before
+
+    def state(basis):
+        return (basis.lattice, list(basis._d), [list(r) for r in basis._lam],
+                list(basis._probe), basis._gram_e)
+
+    before = state(base)
+    targets = [build_plain_ssp_lattice(weights, S + m * M).rows[-1] for m in range(3)]
+    with time_limit(20):  # an append from a changed base need not terminate
+        for target in targets[:2]:
+            base.appended(target)
+            assert state(base) == before
+        third = base.appended(targets[2])
+    assert state(third) == state(ReducedBasis(rows[:-1] + (targets[2],)))
 
 
 @st.composite
@@ -520,7 +532,7 @@ def fresh_unit_coefficients(basis: ReducedBasis) -> list[int]:
     """lambda(e) for e the unit vector of the basis's last column, by the general recurrence."""
     e = [0] * basis._width
     e[-1] = 1
-    return _coefficients(e, basis._b, basis._d, basis._lam)
+    return _coefficients(e, basis.lattice.rows, basis._d, basis._lam)
 
 
 @st.composite
@@ -700,3 +712,121 @@ def test_attack_rows_join_without_the_general_recurrence(monkeypatch):
     assert counts == [0] + [k + 2] * 4
     assert base._gram_e == gram_with_unit(base) > 0
     assert [w._gram_e for w in warm] == [0] * 4  # 95 independent rows of width 95 span e
+
+
+@st.composite
+def packable_vectors(draw):
+    """(vector, W) with every |entry| < 2^(W-1), the extremes and zeros likely."""
+    w = draw(st.integers(2, 80))
+    top = (1 << w - 1) - 1
+    entry = st.one_of(st.sampled_from([0, 1, -1, top, -top]), st.integers(-top, top))
+    return draw(st.lists(entry, min_size=1, max_size=12)), w
+
+
+@settings(max_examples=300, deadline=None)
+@given(packable_vectors())
+def test_packed_rows_round_trip(case):
+    vec, w = case
+    assert _unpack([_pack(vec, w)], len(vec), w) == [vec]
+
+
+def test_packed_rows_round_trip_at_the_slot_edges():
+    for w in (2, 3, 7, 64):
+        top = (1 << w - 1) - 1
+        for vec in ([top, -top, 0, -top], [-top] * 5, [0, -1, 0, -1], [-1, 0, 0], [0, 0, top]):
+            assert _unpack([_pack(vec, w)], len(vec), w) == [vec]
+
+
+def test_appended_row_wider_than_the_slot_repacks_the_base():
+    # Bases reduced at one slot width, then given a row 30 to 60 bits wider:
+    # the base widens, keeps its rows and data, and the append equals the
+    # reference and a fresh reduction.  A wide row inside the constructor's
+    # rows widens the rows before it the same way.
+    rng = Random(30)
+    for dim in range(2, 9):
+        small = random_basis(rng, dim, 1 << rng.randint(1, 20))
+        wide = tuple(rng.randint(-(1 << 60), 1 << 60) for _ in range(dim)) + (0,)
+        rows = tuple(r + (rng.randint(-9, 9),) for r in small.rows)
+        base = ReducedBasis(rows)
+        slot, before = base._slot, (base.lattice, list(base._d), [list(r) for r in base._lam])
+        warm = base.appended(wide)
+        assert base._slot > slot + 30
+        assert (base.lattice, base._d, base._lam) == before
+        want = reference_lll_reduce(IntegerLattice(rows + (wide,)))
+        fresh = ReducedBasis(rows + (wide,))
+        for reduced in (warm, fresh):
+            assert reduced.lattice == want
+            assert (reduced._d, reduced._lam) == _gram_data(want.rows)
+        assert ReducedBasis((wide,) + rows).lattice == reference_lll_reduce(
+            IntegerLattice((wide,) + rows))
+    weights, _, S, M = planted_ssp_instance(12, 24, Random(7))
+    base = ReducedBasis(build_plain_ssp_lattice(weights, S).rows[:-1])
+    T = S + (1 << 40) * M  # far past the weight sum: a target entry 40 bits wider
+    cold = build_plain_ssp_lattice(weights, T)
+    assert base.appended(cold.rows[-1]).lattice == reference_lll_reduce(cold)
+
+
+def dense_scan(rows, weights, S, M, assp_map):
+    """`lattice._scan_reduced` on dense rows, entry by entry: the reference for its packed test."""
+    n = len(weights)
+    for vec in rows:
+        if vec[n] or any(abs(v) != 1 for v in vec[:n]):
+            continue
+        for sign in (1, -1):
+            x = tuple((sign * v + 1) // 2 for v in vec[:n])
+            if not any(x) or sum(b * w for b, w in zip(x, weights)) % M != S:
+                continue
+            if assp_map is None or block_from_kappa(kappa_from_assignment(x, assp_map),
+                                                    max(i for i, _ in assp_map)) is not None:
+                return x
+    return None
+
+
+@st.composite
+def scan_cases(draw):
+    """(row, weights, S, M): a row of +-1s with 0s, +-2s and +-3s among them and
+    any last entry, and a sum that the row's x, its complement or neither meets."""
+    n = draw(st.integers(1, 8))
+    near = st.sampled_from([1, -1, 1, -1, 1, -1, 0, 2, -2, 3, -3])
+    row = draw(st.lists(near, min_size=n, max_size=n)) + [draw(st.sampled_from([0, 0, 1, -1, 2]))]
+    assume(any(row))
+    M = draw(st.integers(1, 5))
+    weights = draw(st.lists(st.integers(0, M - 1), min_size=n, max_size=n))
+    return row, weights, draw(st.integers(0, M - 1)), M
+
+
+@settings(max_examples=400, deadline=None)
+@given(scan_cases(), st.integers(0, 70))
+def test_packed_sign_test_matches_a_dense_scan(case, extra_bits):
+    # A one-row basis keeps its row as given, so the scan sees exactly it, at
+    # the row's own slot width and at one widened as a wider row would.
+    row, weights, S, M = case
+    want = dense_scan([row], weights, S, M, None)
+    basis = ReducedBasis([row])
+    assert lattice._scan_reduced(basis, weights, S, M, None) == want
+    basis._widen([1 << basis._bits + extra_bits - 1])
+    assert basis.lattice.rows == (tuple(row),)
+    assert lattice._scan_reduced(basis, weights, S, M, None) == want
+
+
+def test_packed_sign_test_on_fixed_rows():
+    weights, n = (0,) * 5, 5  # every x meets S = 0 mod 1, so only the +-1 test decides
+    cases = {
+        (1, -1, 1, -1, 1, 0): (1, 0, 1, 0, 1),  # sign + first
+        (-1, -1, -1, -1, -1, 0): (1, 1, 1, 1, 1),  # sign + gives x = 0, so sign -
+        (1, 1, 1, 1, 1, 0): (1, 1, 1, 1, 1),
+        (1, -1, 1, -1, 1, 1): None,  # a nonzero last column
+        (1, -1, 1, -1, 1, -1): None,
+        (1, -1, 0, -1, 1, 0): None,  # a zero beside +-1s
+        (1, -1, 2, -1, 1, 0): None,
+        (1, -1, -2, -1, 1, 0): None,
+        (1, 3, -1, -3, 1, 0): None,
+        (-2, 1, 1, 1, 1, 0): None,  # -2 + 1 borrows from the next slot
+        (1, 1, 1, 1, -3, 0): None,
+    }
+    for row, want in cases.items():
+        assert lattice._scan_reduced(ReducedBasis([row]), weights, 0, 1, None) == want
+        assert dense_scan([row], weights, 0, 1, None) == want
+    # sign - alone meets the sum: x = (0, 1, 0, 1, 0) has 2 + 8 = 10
+    row = (1, -1, 1, -1, 1, 0)
+    assert lattice._scan_reduced(ReducedBasis([row]), (1, 2, 4, 8, 16), 10, 32, None) == (0, 1, 0, 1, 0)
