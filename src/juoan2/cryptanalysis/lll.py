@@ -11,11 +11,11 @@ formula): `ReducedBasis` keeps it after a reduction, so a row can be
 appended to a reduced basis without reducing the rest again, and the
 reducedness checks `is_size_reduced` and `lovasz_holds` read it directly.
 The coefficients are linear in the row, so `ReducedBasis` also keeps them
-for the unit vector e of the last column, the subset-sum embedding column,
-with one more integer, E, the Gram determinant of the rows and e.  Unimodular
-steps leave E as it is and a join updates it in O(1); from the two, the
-weight and target rows of the attack lattices join with their Gram
-determinant in O(1) big-integer work and their coefficients in O(k).
+for e, the unit vector of the last (subset-sum embedding) column, with E,
+the Gram determinant of the rows and e; a row r + t*e then joins by one
+formula from t and r's head, which is zero where r misses the columns the
+rows use and shared by rows that differ only in t: the attack's rows join
+in O(1) big-integer work for their Gram determinant, O(k) for the rest.
 The reducer stores each basis row as one integer, its entries packed as
 balanced base-2^W digits (Kronecker substitution), so a size reduction is
 one big-integer multiply-subtract and a swap swaps two integers; the rows
@@ -137,8 +137,11 @@ def _join(row: Sequence[int] | int, mu: list[int], u: int, b: list, d: list[int]
     determinant with b is `u`, to the rows b, dense or packed like it.
 
     Raises ParameterError, leaving b, d and lam unchanged, if u == 0: the
-    row depends on b.
+    row depends on b, and ArithmeticError if u < 0: only corrupt Gram-Schmidt
+    data gives that, and the LLL loop would never end on it.
     """
+    if u < 0:
+        raise ArithmeticError(f"negative Gram determinant at row {len(b) + 1}: corrupt Gram-Schmidt data")
     if u == 0:
         raise ParameterError(f"basis is rank deficient at row {len(b) + 1}")
     b.append(row)
@@ -195,7 +198,7 @@ class ReducedBasis:
     the same loop from it, instead of an O(n^3) reduction from scratch.
 
     Incorporating a row takes O(n^2) big-integer work in general, but O(n)
-    for the two shapes the subset-sum attack feeds in, of which the Gram
+    for the rows the subset-sum attack feeds in, of which the Gram
     determinant and lambda_k(e) take O(1).  The coefficients
     lambda_j(x) = d_j * <x, b*_j> are linear in x, and the basis keeps
     lambda(e) current for e, the unit vector of its last column (the
@@ -203,21 +206,21 @@ class ReducedBasis:
     updates it like a row below the swapped pair.  It also keeps
     E = d_k * |e*|^2, the Gram determinant of its k rows and e: E starts at
     1, no size reduction or swap changes it (each is unimodular), and a join
-    of b_k sets it to (d_{k+1} * E - lambda_k(e)^2) // d_k.  A row
-    x = r + t*e takes lambda(x) = lambda(r) + t*lambda(e), where
-    - r is zero on every used column, the union of the supports of the rows
-      (a weight row (2e_i | s*w_i)): then lambda(r) = 0, r is orthogonal to
-      the rows and to e, d_{k+1} = d_k * |r|^2 + t^2 * E and
-      lambda_k(e) = t * E.  No unimodular transform changes that union, so
-      the basis keeps it as a set that each join extends;
-    - `appended` computes lambda(r) by the general recurrence, with
-      R = d_k * |r*|^2 and X = d_k * <r*, e*>, and keeps them for the last r
-      it met: then d_{k+1} = R + 2t * X + t^2 * E and lambda_k(e) = X + t * E,
-      so the rows that differ only in the last column (every wrap guess's
-      target row (1, ..., 1 | s*T)) pay for the recurrence once per base.
-    Every other row given to the constructor takes the general recurrence.
-    Every path gives the same integers, so the reduction is the same
-    whichever path a row took.
+    of b_k sets it to (d_{k+1} * E - lambda_k(e)^2) // d_k.  Every row
+    x = r + t*e, with r zero in the last column, joins by one formula from
+    the head of r, (lambda(r), R, X) with R = d_k * |r*|^2 and
+    X = d_k * <r*, e*> (`_head`):
+        lambda(x) = lambda(r) + t * lambda(e),
+        d_{k+1} = R + 2t * X + t^2 * E,  lambda_k(e) = X + t * E.
+    The head is (0, d_k * |r|^2, 0) when r is zero on every used column,
+    where some row is nonzero, as for a weight row (2e_i | s*w_i): r is then
+    orthogonal to the rows and to e.  No unimodular transform changes the
+    used columns, so the basis keeps them as a set that each join extends.
+    Otherwise the general recurrence computes the head.  `appended` keeps
+    the head of the last r it met, so the rows that differ only in the last
+    column (every wrap guess's target row (1, ..., 1 | s*T)) pay for the
+    recurrence once per base.  The formula is exact, so the reduction is
+    the same however the head was computed.
 
     Each row x is stored as one integer, sum of x_c * 2^(W*c), and the
     reduction updates those integers exactly: a size reduction is one
@@ -225,8 +228,8 @@ class ReducedBasis:
     so a packed row stays the image of its true row whatever the entries
     grow to in the middle of a reduction; it decodes uniquely when every
     entry lies in [-2^(W-1), 2^(W-1)), and it is decoded only in reduced
-    states (`lattice`, the general recurrence, the head of `appended`, the
-    attack's scan), where every entry does.  W = bitlen(m) + bitlen(width)
+    states (`lattice`, a head by the general recurrence, the attack's
+    scan), where every entry does.  W = bitlen(m) + bitlen(width)
     + 1 for m the largest |entry| of any row joined so far: LLL never raises
     the largest |b*_i|, and a join adds a b* no longer than its row, so every
     |b*_i| <= N, the largest norm of a row joined, and N^2 <= width * m^2.
@@ -297,19 +300,16 @@ class ReducedBasis:
 
         The rows are immutable integers, so the copy shares them; this basis
         first widens its slots for `row` if it must, so the copies do not
-        repack.  It also keeps lambda(r), R and X (see the class) for r the
-        last `row` it was given with its last entry set to 0, so a row that
-        differs from that one only in its last entry costs O(n) to incorporate.
+        repack.  It also keeps the head (see the class) of r, the last `row` it
+        was given with its last entry set to 0, so a row that differs from
+        that one only in its last entry costs O(n) to incorporate.
         """
         head = None
         if len(row) == self._width:  # else `_push` raises
             self._widen(row)
-            key = tuple(row[:-1])
+            key = (*row[:-1], 0)
             if self._shared is None or self._shared[0] != key:
-                d = self._d
-                lam_r = _coefficients(key + (0,), self._rows(), d, self._lam)
-                self._shared = (key, lam_r, _projected(sum(x * x for x in key), lam_r, lam_r, d),
-                                _projected(0, lam_r, self._probe, d))
+                self._shared = (key, *self._head(key))
             head = self._shared[1:]
         new = ReducedBasis(delta=self.delta)
         new._width, new._bits, new._slot = self._width, self._bits, self._slot
@@ -322,34 +322,32 @@ class ReducedBasis:
         new._push(row, head)
         return new
 
+    def _head(self, r: Sequence[int]) -> tuple[list[int], int, int]:
+        """(lambda(r), R, X) for a row r that is 0 in the last column (see the class)."""
+        d = self._d
+        if not any(r[c] for c in self._used):  # r is orthogonal to the rows and to e
+            return [0] * len(self._b), d[-1] * sum(x * x for x in r), 0
+        lam_r = _coefficients(r, self._rows(), d, self._lam)
+        return lam_r, _projected(sum(x * x for x in r), lam_r, lam_r, d), _projected(0, lam_r, self._probe, d)
+
     def _push(self, row: Sequence[int], head: tuple[list[int], int, int] | None = None) -> None:
-        """Join `row` and reduce; `head` is (lambda(r), R, X) for r the row
-        with its last entry set to 0, if known (see the class)."""
+        """Join row = r + t*e by the one formula of the class and reduce; `head`
+        is `_head(r)`, if known."""
         if not self._b:
             self._width = len(row)
         if len(row) != self._width:
             raise ParameterError("rows have unequal lengths")
         self._widen(row)
-        b, d, lam, probe, E = self._b, self._d, self._lam, self._probe, self._gram_e
-        support = {c for c, x in enumerate(row) if x}
-        t = row[-1] if row else 0  # the entry in the last column
-        if head is not None:
-            lam_r, R, X = head
-            mu = [h + t * c for h, c in zip(lam_r, probe)]
-            u, lam_e = R + 2 * t * X + t * t * E, X + t * E
-        elif self._used.isdisjoint(support):
-            mu = [t * c for c in probe]
-            u, lam_e = d[-1] * (sum(x * x for x in row) - t * t) + t * t * E, t * E
-        else:
-            mu = _coefficients(row, self._rows(), d, lam)
-            u = _projected(sum(x * x for x in row), mu, mu, d)
-            lam_e = _projected(t, probe, mu, d)
-        _join(_pack(row, self._slot), mu, u, b, d, lam)
+        d, probe, E = self._d, self._probe, self._gram_e
+        r, t = (*row[:-1], 0), row[-1] if row else 0
+        lam_r, R, X = head or self._head(r)
+        mu = [h + t * c for h, c in zip(lam_r, probe)]
+        u, lam_e = R + 2 * t * X + t * t * E, X + t * E
+        _join(_pack(row, self._slot), mu, u, self._b, d, self._lam)
         probe.append(lam_e)  # lambda_k(e) for the new row b_k
         self._gram_e = (u * E - lam_e * lam_e) // d[-2]
-        self._used.update(support)
-        self._used.discard(self._width - 1)
-        if len(b) > 1:
+        self._used.update(c for c, x in enumerate(r) if x)
+        if len(self._b) > 1:
             self._reduce_last()
 
     def _reduce_last(self) -> None:

@@ -330,6 +330,41 @@ def test_every_join_path_refuses_a_dependent_row(build):
         build()
 
 
+def widen_without_repacking(self, row):
+    """A faulty `ReducedBasis._widen`: the slots widen, but the kept rows stay packed at the old width."""
+    bits = max(map(abs, row), default=0).bit_length()
+    if bits > self._bits:
+        self._bits = bits
+        self._slot = bits + self._width.bit_length() + 1
+
+
+def widen_without_the_width_term(self, row):
+    """A faulty `ReducedBasis._widen`: the slot width lacks its bitlen(width) term."""
+    bits = max(map(abs, row), default=0).bit_length()
+    if bits > self._bits:
+        rows = self._rows()
+        self._bits = bits
+        self._slot = bits + 1
+        self._b = [_pack(r, self._slot) for r in rows]
+
+
+def seed_0_random_basis():
+    rng = Random(0)
+    return random_basis(rng, rng.randint(2, 8), 1 << 20)
+
+
+@pytest.mark.parametrize("fault, basis", [
+    (widen_without_repacking, lambda: IntegerLattice(((201, 37), (1648, 297)))),
+    (widen_without_the_width_term, seed_0_random_basis),
+])
+def test_a_reducer_fault_fails_fast(monkeypatch, fault, basis):
+    # Either fault mis-decodes packed rows, so a join computes a negative
+    # Gram determinant, on which the LLL loop would never end.
+    monkeypatch.setattr(ReducedBasis, "_widen", fault)
+    with time_limit(5), pytest.raises(ArithmeticError, match="negative Gram determinant"):
+        lll_reduce(basis())
+
+
 def test_appended_shares_no_row_with_its_base():
     # The copies share the base's packed rows, which are immutable integers;
     # what must not be shared is state that a reduction changes.  Two appends
@@ -596,7 +631,9 @@ def test_general_recurrence_serves_only_rows_off_the_fast_shapes(monkeypatch):
     with time_limit(10):  # a wrong coefficient can stall the reduction
         dense = random_basis(Random(3), 6, 50)
         ReducedBasis(dense.rows)
-        assert calls == list(dense.rows[1:])  # the first row has no coefficients to compute
+        # each row's r, the row with its last entry set to 0; the first row
+        # has no coefficients to compute
+        assert calls == [row[:-1] + (0,) for row in dense.rows[1:]]
         weights, _, S, M = planted_ssp_instance(12, 24, Random(5))
         rows = build_plain_ssp_lattice(weights, S).rows
         calls.clear()
