@@ -67,10 +67,10 @@ def run_assp_attack_trial(
     0 (by default every m up to (sum(weights) - S) // M, about half the
     expanded weight count); the attack tries them middle-out, nearest
     2*(S + m*M) = sum(weights) first.  Each guess costs one row appended to
-    the reduced weight rows of the expanded exact-sum lattice: about 6.5 ms
-    at n = 32 (231 weights) against a 0.4-s weight-row reduction, about 0.8 s
-    for a block with every guess (about 117 guesses; medians of 20 keys,
-    Python 3.11, 2 vCPUs).  The expanded instance sits far above density
+    the reduced weight rows of the expanded exact-sum lattice: about 11 ms
+    at n = 32 (231 weights) against a 0.47-s weight-row reduction, about
+    1.3 s for a block with every guess (about 114 guesses; medians of 20
+    keys, Python 3.11, 2 vCPUs).  The expanded instance sits far above density
     1, so extra guesses buy nothing but wall time.  A cap of 8 almost never
     holds the genuine guess: over 50 blocks at n = 16, built here from
     Random(0) ... Random(49), the true m had median 16 and minimum 8, the

@@ -6,16 +6,18 @@ Algebraic Number Theory", Alg. 2.6.7, after de Weger, 1987), so every
 comparison is exact; this is algebraically identical to rational
 Gram-Schmidt but avoids fraction normalization.  One recurrence step
 (`_projected`) computes that data as a general row joins, in O(k^2)
-big-integer work for a row joining k others (a swap updates it by its own
-formula): `ReducedBasis` keeps it after a reduction, so a row can be
-appended to a reduced basis without reducing the rest again, and the
-reducedness checks `is_size_reduced` and `lovasz_holds` read it directly.
-The coefficients are linear in the row, so `ReducedBasis` also keeps them
-for e, the unit vector of the last (subset-sum embedding) column, with E,
-the Gram determinant of the rows and e; a row r + t*e then joins by one
-formula from t and r's head, which is zero where r misses the columns the
-rows use and shared by rows that differ only in t: the attack's rows join
-in O(1) big-integer work for their Gram determinant, O(k) for the rest.
+big-integer work for a row joining k others (a swap moves the two rows'
+coefficient lists and updates those of the rows below by its own formula):
+`ReducedBasis` keeps it after a reduction, so a row can be appended to a
+reduced basis without reducing the rest again, and the reducedness checks
+`is_size_reduced` and `lovasz_holds` read it directly.  The coefficients
+are linear in the row, so `ReducedBasis` also keeps them for e, the unit
+vector of the last (subset-sum embedding) column, updated beside the rows
+below on a swap, with E, the Gram determinant of the rows and e; a row
+r + t*e then joins by one formula from t and r's head, which is zero where
+r misses the columns the rows use and shared by rows that differ only in
+t: the attack's rows join in O(1) big-integer work for their Gram
+determinant, O(k) for the rest.
 The reducer stores each basis row as one integer, its entries packed as
 balanced base-2^W digits (Kronecker substitution), so a size reduction is
 one big-integer multiply-subtract and a swap swaps two integers; the rows
@@ -29,6 +31,8 @@ the tests compare these against.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
+from operator import lshift, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from ..errors import ParameterError
@@ -88,7 +92,7 @@ def gram_schmidt(rows: Sequence[Sequence[int]]) -> tuple[list[list[Fraction]], l
 
 def _pack(row: Sequence[int], w: int) -> int:
     """The row as one integer, sum of x_c * 2^(w*c): its entries become balanced base-2^w digits."""
-    return sum(x << w * c for c, x in enumerate(row) if x)
+    return sum(map(lshift, row, range(0, w * len(row), w)))
 
 
 def _unpack(packed: Iterable[int], width: int, w: int) -> list[list[int]]:
@@ -127,7 +131,7 @@ def _coefficients(row: Sequence[int], b: Sequence[Sequence[int]], d: list[int],
     """
     mu: list[int] = []
     for bj, lam_j in zip(b, lam):
-        mu.append(_projected(sum(x * y for x, y in zip(bj, row) if x), mu, lam_j, d))
+        mu.append(_projected(sum(map(mul, bj, row)), mu, lam_j, d))
     return mu
 
 
@@ -159,7 +163,7 @@ def _gram_data(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]
         if len(row) != len(rows[0]):
             raise ParameterError("rows have unequal lengths")
         mu = _coefficients(row, b, d, lam)
-        u = _projected(sum(x * x for x in row), mu, mu, d)
+        u = _projected(sum(map(mul, row, row)), mu, mu, d)
         _join(row, mu, u, b, d, lam)
     return d, lam
 
@@ -324,11 +328,11 @@ class ReducedBasis:
 
     def _head(self, r: Sequence[int]) -> tuple[list[int], int, int]:
         """(lambda(r), R, X) for a row r that is 0 in the last column (see the class)."""
-        d = self._d
-        if not any(r[c] for c in self._used):  # r is orthogonal to the rows and to e
-            return [0] * len(self._b), d[-1] * sum(x * x for x in r), 0
+        d, norm = self._d, sum(map(mul, r, r))
+        if not any(map(r.__getitem__, self._used)):  # r is orthogonal to the rows and to e
+            return [0] * len(self._b), d[-1] * norm, 0
         lam_r = _coefficients(r, self._rows(), d, self._lam)
-        return lam_r, _projected(sum(x * x for x in r), lam_r, lam_r, d), _projected(0, lam_r, self._probe, d)
+        return lam_r, _projected(norm, lam_r, lam_r, d), _projected(0, lam_r, self._probe, d)
 
     def _push(self, row: Sequence[int], head: tuple[list[int], int, int] | None = None) -> None:
         """Join row = r + t*e by the one formula of the class and reduce; `head`
@@ -346,42 +350,57 @@ class ReducedBasis:
         _join(_pack(row, self._slot), mu, u, self._b, d, self._lam)
         probe.append(lam_e)  # lambda_k(e) for the new row b_k
         self._gram_e = (u * E - lam_e * lam_e) // d[-2]
-        self._used.update(c for c, x in enumerate(r) if x)
+        self._used.update(compress(range(len(r)), r))
         if len(self._b) > 1:
             self._reduce_last()
 
     def _reduce_last(self) -> None:
-        """LLL loop from the last row, given that the rows before it are reduced."""
+        """LLL loop from the last row, given that the rows before it are reduced.
+
+        Each size-reduction test 2 * |lambda_kj| > d_{j+1} runs inline, and
+        `size_reduce` runs only when it reduces.  A swap of rows k-1 and k
+        moves their coefficient rows (the new lambda_{k-1} is the old
+        lambda_k less its last entry, which the new lambda_k gains) and
+        updates lambda(e) beside the rows below, by the same formula.
+        """
         b, d, lam, probe = self._b, self._d, self._lam, self._probe
         p, q = self.delta.numerator, self.delta.denominator
         k = kmax = len(b) - 1
 
         def size_reduce(k: int, j: int) -> None:
-            if 2 * abs(lam[k][j]) > d[j + 1]:
-                r = (2 * lam[k][j] + d[j + 1]) // (2 * d[j + 1])  # nearest integer
-                b[k] -= r * b[j]
-                lam[k][j] -= r * d[j + 1]
-                for i in range(j):
-                    lam[k][i] -= r * lam[j][i]
+            lam_k, lam_j, dj = lam[k], lam[j], d[j + 1]
+            r = (2 * lam_k[j] + dj) // (2 * dj)  # nearest integer
+            b[k] -= r * b[j]
+            lam_k[j] -= r * dj
+            for i in range(j):
+                lam_k[i] -= r * lam_j[i]
 
         while k <= kmax:
-            size_reduce(k, k - 1)
-            while q * (d[k - 1] * d[k + 1] + lam[k][k - 1] ** 2) < p * d[k] ** 2:
+            if 2 * abs(lam[k][k - 1]) > d[k]:
+                size_reduce(k, k - 1)
+            if q * (d[k - 1] * d[k + 1] + lam[k][k - 1] ** 2) < p * d[k] ** 2:
                 # swap rows k-1 and k, updating the integral GS data in place
                 b[k], b[k - 1] = b[k - 1], b[k]
-                for j in range(k - 1):
-                    lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
-                lam_ = lam[k][k - 1]
-                new_dk = (d[k - 1] * d[k + 1] + lam_ * lam_) // d[k]
-                for li in lam[k + 1:] + [probe]:  # the rows below, then lambda(e) like one
+                lam_ = lam[k].pop()
+                lam[k - 1].append(lam_)
+                lam[k], lam[k - 1] = lam[k - 1], lam[k]
+                dk, dk1 = d[k], d[k + 1]
+                new_dk = (d[k - 1] * dk1 + lam_ * lam_) // dk
+                for li in lam[k + 1:]:  # the rows below
                     t = li[k]
-                    li[k] = (d[k + 1] * li[k - 1] - lam_ * t) // d[k]
-                    li[k - 1] = (new_dk * t + lam_ * li[k]) // d[k + 1]
+                    li[k] = u = (dk1 * li[k - 1] - lam_ * t) // dk
+                    li[k - 1] = (new_dk * t + lam_ * u) // dk1
+                t = probe[k]  # then lambda(e), like one of them
+                probe[k] = u = (dk1 * probe[k - 1] - lam_ * t) // dk
+                probe[k - 1] = (new_dk * t + lam_ * u) // dk1
                 d[k] = new_dk
-                k = max(k - 1, 1)
-                size_reduce(k, k - 1)
+                if k > 1:
+                    k -= 1
+                continue
+            lam_k = lam[k]
             for j in range(k - 2, -1, -1):
-                size_reduce(k, j)
+                if 2 * abs(lam_k[j]) > d[j + 1]:
+                    size_reduce(k, j)
             k += 1
 
 

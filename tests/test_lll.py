@@ -388,6 +388,37 @@ def test_appended_shares_no_row_with_its_base():
     assert state(third) == state(ReducedBasis(rows[:-1] + (targets[2],)))
 
 
+def test_appended_leaves_an_attack_sized_base_untouched():
+    # A swap moves coefficient rows between positions in place, so a row
+    # list shared by a copy and its base would change the base.  The n = 16
+    # ASSP weight rows (94 of width 95) and two wrap guesses: the base keeps
+    # its rows and kept data, no list of coefficients is shared, and each
+    # copy's data is that of its rows.
+    rng = Random(16)
+    pub, _ = keygen(16, rng)
+    weights, _ = expand_assp_to_ssp(pub)
+    S = encrypt_message(pub, b"in place", rng)[0].S
+    weight_rows = build_plain_ssp_lattice(weights, S).rows[:-1]
+    assert len(weight_rows) == 94
+
+    def state(basis):
+        return (basis.lattice, list(basis._d), [list(r) for r in basis._lam],
+                list(basis._probe), basis._gram_e)
+
+    with time_limit(20):
+        base = ReducedBasis(weight_rows)
+        before = state(base)
+        copies = []
+        for m in range(2):
+            assert 2 * (S + m * pub.M) != sum(weights)
+            copies.append(base.appended(build_plain_ssp_lattice(weights, S + m * pub.M).rows[-1]))
+            assert state(base) == before
+    lists = [r for basis in (base, *copies) for r in (*basis._lam, basis._probe)]
+    assert len({id(r) for r in lists}) == len(lists)
+    for copy in copies:
+        assert (copy._d, copy._lam) == _gram_data(copy.lattice.rows)
+
+
 @st.composite
 def subset_sum_instances(draw):
     """(weights, T, M): T the exact sum of a planted subset, or uniform in [0, sum(w)]."""
