@@ -49,7 +49,8 @@ _MAX_KEYGEN_N = 4096
 # Largest expanded weight count `attack` takes on: 231 at n=32, 552 at n=64.
 # The weight rows are reduced once per key (about 0.5 s at n=32, 15 s at
 # n=64); each block then appends a row per wrap guess up to (sum of weights
-# - S) // M, about half the weight count: about 1.3 s at n=32 and 53 s at
+# - S) // M, about half the weight count (the expansion is too dense for the
+# closest-vector rule-out to skip any): about 1.3 s at n=32 and 53 s at
 # n=64 a block (medians of 20 and 2 keys, Python 3.11, 2 vCPUs), and a
 # message has many, so larger keys are refused.
 _MAX_ATTACK_WEIGHTS = 256

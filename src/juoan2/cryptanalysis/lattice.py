@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from math import isqrt
+from math import gcd, isqrt
 from typing import Sequence
 
 from ..errors import ParameterError
@@ -173,8 +173,23 @@ class SubsetSumAttack:
     planted solution's sum lies near half the weight sum: over 200 planted
     n = 20, 40-bit instances this cuts the guesses a call tries from 5.30 to
     2.49, with the same outputs.  The order changes an answer only when two
-    guesses both verify.  Raises ParameterError when max_wraps is negative
-    or a weight lies outside [0, M), and, on a call, when S is outside [0, M).
+    guesses both verify.
+
+    A guess is reduced only if its lattice may hold a verifying row
+    (`ReducedBasis.may_hold`), which skips none that does.  Its vectors are
+    c*y - v, y the target row and v in the weight rows' lattice, whose first
+    n entries are even, so a (2x - 1 | 0) needs c odd; its two readings sum
+    to ((c+1)/2)*sum(w) - c*T and c*T - ((c-1)/2)*sum(w), so one passes the
+    sum check only if g = M / gcd(sum(w) - 2S, M) divides (|c| +- 1)/2, i.e.
+    c = +-1 or |c| >= 2g - 1.  Its part off the weight rows' span is c*y*,
+    and its squared norm is n: `may_hold` rules the guess out when no such
+    c fits beside y*, and no weight-row lattice point lies within sqrt(n)
+    of y (an exact closest-vector search).  Over 100 planted n = 20, 40-bit
+    trials this cuts the guesses reduced from 2.43 to 1.00 a call, with the
+    same outputs; the dense ASSP expansions keep every guess, as the search
+    there is too large to run (see `may_hold`).  Raises ParameterError when
+    max_wraps is negative or a weight lies outside [0, M), and, on a call,
+    when S is outside [0, M).
     """
 
     def __init__(self, weights: Sequence[int], M: int,
@@ -196,14 +211,17 @@ class SubsetSumAttack:
     def __call__(self, S: int) -> tuple[int, ...] | None:
         _check_target(S, self.M)
         total, M = self._total, self.M
+        c_min = 2 * (M // gcd(total - 2 * S, M)) - 1  # the least |c| > 1 that may verify (see the class)
         guesses = range(min((total - S) // M, self.max_wraps) + 1)
         for m in sorted(guesses, key=lambda m: (abs(2 * (S + m * M) - total), m)):
             T = S + m * M
             target_row = self._ones + (self._scale * T,)
             if 2 * T == total:
                 reduced = ReducedBasis(self._weight_rows[:-1] + [target_row], DEFAULT_DELTA)
-            else:
+            elif self._base.may_hold(target_row, len(self.weights), c_min):
                 reduced = self._base.appended(target_row)
+            else:
+                continue
             x = _scan_reduced(reduced, self.weights, S, M, self.assp_map)
             if x is not None:
                 return x
@@ -217,6 +235,10 @@ def lattice_attack(
     assp_map: VarMap | None = None,
     max_wraps: int | None = None,
 ) -> tuple[int, ...] | None:
-    """The one-call form of `SubsetSumAttack`: attack the one target S."""
+    """The one-call form of `SubsetSumAttack`: attack the one target S.
+
+    Each guess that may hold a solution costs one row appended to the
+    reduced weight rows; the others cost a closest-vector check.
+    """
     _check_target(S, M)  # before the weight rows are reduced
     return SubsetSumAttack(weights, M, assp_map, max_wraps)(S)

@@ -18,6 +18,11 @@ r + t*e then joins by one formula from t and r's head, which is zero where
 r misses the columns the rows use and shared by rows that differ only in
 t: the attack's rows join in O(1) big-integer work for their Gram
 determinant, O(k) for the rest.
+The same data answers, before a row joins, whether the lattice it would
+give may hold a short vector (`ReducedBasis.may_hold`): by the row's
+Gram determinant alone, or by a Schnorr-Euchner closest-vector search over
+the kept data, pruned only with a margin above its rounding error; the
+attack skips a wrap guess that cannot verify by it.
 The reducer stores each basis row as one integer, its entries packed as
 balanced base-2^W digits (Kronecker substitution), so a size reduction is
 one big-integer multiply-subtract and a swap swaps two integers; the rows
@@ -31,7 +36,8 @@ the tests compare these against.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, count
+from math import exp, fsum, lgamma, log, pi
 from operator import lshift, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -262,6 +268,7 @@ class ReducedBasis:
         self._gram_e = 1  # the Gram determinant of (the rows, e)
         self._used: set[int] = set()  # the columns but the last where some row is nonzero
         self._shared: tuple[tuple[int, ...], list[int], int, int] | None = None  # see `appended`
+        self._tree: list[float] | None = None  # see `_near`
         for row in rows:
             self._push(row)
 
@@ -311,10 +318,7 @@ class ReducedBasis:
         head = None
         if len(row) == self._width:  # else `_push` raises
             self._widen(row)
-            key = (*row[:-1], 0)
-            if self._shared is None or self._shared[0] != key:
-                self._shared = (key, *self._head(key))
-            head = self._shared[1:]
+            head = self._shared_head(row)
         new = ReducedBasis(delta=self.delta)
         new._width, new._bits, new._slot = self._width, self._bits, self._slot
         new._b = list(self._b)
@@ -325,6 +329,91 @@ class ReducedBasis:
         new._used = set(self._used)
         new._push(row, head)
         return new
+
+    def may_hold(self, row: Sequence[int], radius_sq: int, c_min: int) -> bool:
+        """Whether the lattice of these rows and `row` may hold a vector
+        c*row + v, v in this lattice, of squared norm <= radius_sq with c = +-1
+        or |c| >= c_min.  False is exact: it holds none; True may be a false alarm.
+
+        The part of c*row + v off the span of these k rows is c*row*, so
+        c^2 * u <= radius_sq * d_k, where u = d_k * |row*|^2 is the Gram
+        determinant that `appended` would join `row` with, from the same
+        shared head.  If c_min^2 * u meets that bound the answer is True;
+        otherwise only c = +-1 is left, and the question is whether some point
+        of this lattice lies within sqrt(radius_sq) of `row` (`_near`).
+        """
+        if len(row) != self._width:
+            raise ParameterError("rows have unequal lengths")
+        d = self._d
+        lam_r, R, X = self._shared_head(row)
+        t = row[-1]
+        u = R + 2 * t * X + t * t * self._gram_e
+        if c_min * c_min * u <= radius_sq * d[-1]:
+            return True
+        if u > radius_sq * d[-1]:
+            return False
+        return self._near(lam_r, t, radius_sq - u / d[-1], radius_sq)
+
+    def _near(self, lam_r: list[int], t: int, budget: float, radius_sq: int) -> bool:
+        """Whether some point v of this lattice may lie within sqrt(budget) of
+        the projection of y = r + t*e on its span, given lam_r = lambda(r).
+
+        For v = sum a_i b_i that squared distance is the sum over levels j of
+        (N_j - a_j * d_{j+1})^2 / (d_j * d_{j+1}), with integer centers
+        N_j = lambda_j(y) - sum_{i>j} a_i * lambda_ij.  Schnorr-Euchner
+        enumeration (Schnorr and Euchner, 1994) fixes a_{k-1}, ..., a_0 in
+        turn, each in zigzag order around N_j / d_{j+1}, along which the terms
+        do not decrease, so a level ends at its first term past what is left.
+        The terms are summed as correctly rounded floats, whose error over k
+        levels stays under (2k + 3) * 2^-53 * radius_sq; a branch is pruned
+        only past budget + (k + 2) * 2^-50 * radius_sq, so no point within
+        sqrt(budget) is dropped.  A leaf answers True, and so, unsearched, does
+        a Gaussian-heuristic estimate of the tree above 2k nodes (the `_tree`
+        constants, kept per basis), or a search past 4k nodes.
+        """
+        d, lam, k = self._d, self._lam, len(self._lam)
+        limit = budget + (k + 2) * 2.0 ** -50 * radius_sq
+        if self._tree is None:  # ln(volume of the unit l-ball / volume of the last l levels)
+            top = log(d[k])
+            self._tree = [l / 2 * log(pi) - lgamma(l / 2 + 1) + (log(d[k - l]) - top) / 2
+                          for l in range(1, k + 1)]
+        half = log(limit) / 2
+        logs = [c + l * half for l, c in enumerate(self._tree, 1)]
+        if max(logs) > log(2 * k) or fsum(map(exp, logs)) > 2 * k:  # max first: exp may overflow
+            return True
+        lam_y = [h + t * c for h, c in zip(lam_r, self._probe)]  # only past the gate: dense bases skip it
+        a, bound, nodes = [0] * k, 2 * radius_sq + 1, 4 * k  # limit < bound
+
+        def search(j: int, spent: float) -> bool:
+            nonlocal nodes
+            D, den = d[j + 1], d[j] * d[j + 1]
+            N = lam_y[j] - sum(x * r[j] for x, r in zip(a[j + 1:], lam[j + 1:]))
+            x = (2 * N + D) // (2 * D)  # the nearest integer to N / D
+            s = 1 if N > x * D else -1  # the side of it N / D lies on
+            for i in count(1):
+                e = (N - x * D) ** 2
+                if e > bound * den:  # in integers first, so the float cannot overflow
+                    return False
+                total = spent + e / den
+                if total > limit:
+                    return False
+                nodes -= 1
+                if nodes < 0:
+                    return True
+                a[j] = x
+                if j == 0 or search(j - 1, total):
+                    return True
+                x += s * i  # zigzag: offsets 0, s, -s, 2s, -2s, ...
+                s = -s
+
+        return search(k - 1, 0.0)
+
+    def _shared_head(self, row: Sequence[int]) -> tuple[list[int], int, int]:
+        """The head of r, `row` with its last entry set to 0, kept for the next row."""
+        key = (*row[:-1], 0)
+        if self._shared is None or self._shared[0] != key:
+            self._shared = (key, *self._head(key))
+        return self._shared[1:]
 
     def _head(self, r: Sequence[int]) -> tuple[list[int], int, int]:
         """(lambda(r), R, X) for a row r that is 0 in the last column (see the class)."""
@@ -351,6 +440,7 @@ class ReducedBasis:
         probe.append(lam_e)  # lambda_k(e) for the new row b_k
         self._gram_e = (u * E - lam_e * lam_e) // d[-2]
         self._used.update(compress(range(len(r)), r))
+        self._tree = None
         if len(self._b) > 1:
             self._reduce_last()
 

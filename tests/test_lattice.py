@@ -243,27 +243,62 @@ def count_reductions(monkeypatch):
     return counts
 
 
+def spy_guesses(monkeypatch):
+    """Record, inside lattice_attack, the target row of each wrap guess that the
+    rule-out weighs (`ReducedBasis.may_hold`: every guess but a half-sum one),
+    of each it keeps, and of each appended to the reduced weight rows."""
+    log = {"considered": [], "kept": [], "appended": []}
+    may_hold, appended = lattice.ReducedBasis.may_hold, lattice.ReducedBasis.appended
+
+    def spied_may_hold(self, row, *args):
+        log["considered"].append(row)
+        kept = may_hold(self, row, *args)
+        if kept:
+            log["kept"].append(row)
+        return kept
+
+    def spied_appended(self, row):
+        log["appended"].append(row)
+        return appended(self, row)
+
+    monkeypatch.setattr(lattice.ReducedBasis, "may_hold", spied_may_hold)
+    monkeypatch.setattr(lattice.ReducedBasis, "appended", spied_appended)
+    return log
+
+
+def reset(log):
+    for rows in log.values():
+        rows.clear()
+
+
 def test_lattice_attack_reduces_weight_rows_once_and_appends_once_per_guess(monkeypatch):
     counts = count_reductions(monkeypatch)
-    # Even weights, even modulus, odd target: no guess can succeed, so all are tried.
+    log = spy_guesses(monkeypatch)
+    # Even weights, even modulus, odd target: no guess can succeed, so all are
+    # considered, and the rule-out keeps none of them.
     rng = Random(5)
     weights = tuple(2 * rng.randint(1, 1 << 15) for _ in range(12))
     for max_wraps, tried in ((3, 4), (0, 1), (None, 4)):
         counts.update(base=0, appended=0, cold=0)
+        reset(log)
         assert lattice_attack(weights, 12345, 1 << 17, max_wraps=max_wraps) is None
-        assert counts == {"base": 1, "appended": tried, "cold": 0}
+        assert counts == {"base": 1, "appended": len(log["kept"]), "cold": 0}
+        assert len(log["considered"]) == tried and log["appended"] == log["kept"] == []
     for seed in range(5):
         weights, _, S, M = planted_ssp_instance(16, 32, Random(seed))
         counts.update(base=0, appended=0, cold=0)
+        reset(log)
         assert lattice_attack(weights, S, M) is not None
         assert counts["base"] == 1 and counts["appended"] >= 1 and counts["cold"] == 0
+        assert len(log["considered"]) >= 1 and log["appended"] == log["kept"]
     # A half-sum guess gets a second ReducedBasis, of the other weight rows and
     # the target row; it is the middle guess, so it is tried first.
     for seed in range(5):
         weights, _, S, M = half_sum_instance(16, 32, Random(seed))
         counts.update(base=0, appended=0, cold=0)
+        reset(log)
         assert lattice_attack(weights, S, M) is not None
-        assert counts == {"base": 2, "appended": 0, "cold": 0}
+        assert counts == {"base": 2, "appended": 0, "cold": 0} and log["considered"] == []
 
 
 def test_lattice_attack_clamps_max_wraps(monkeypatch):
@@ -273,24 +308,25 @@ def test_lattice_attack_clamps_max_wraps(monkeypatch):
     assert len(weights) == 14
     S = brute_force_target(pub)
     expected = lattice_attack(weights, S, pub.M, assp_map=var_map)
-    guesses = []
-    appended = lattice.ReducedBasis.appended
+    log = spy_guesses(monkeypatch)
+    guesses = log["considered"]
+    may_hold = lattice.ReducedBasis.may_hold
 
-    def bounded(self, row):
-        guesses.append(row)
-        assert len(guesses) <= 14, "a guess m >= len(weights) was tried"
-        return appended(self, row)
+    def bounded(self, row, *args):
+        assert len(guesses) < 14, "a guess m >= len(weights) was tried"
+        return may_hold(self, row, *args)
 
-    monkeypatch.setattr(lattice.ReducedBasis, "appended", bounded)
+    monkeypatch.setattr(lattice.ReducedBasis, "may_hold", bounded)
     t0 = time.perf_counter()
     assert lattice_attack(weights, S, pub.M, assp_map=var_map, max_wraps=10**9) == expected
     assert time.perf_counter() - t0 < 2
-    # Even weights, even modulus, odd target: no guess can succeed, so all are tried.
+    assert log["appended"] == log["kept"]
+    # Even weights, even modulus, odd target: no guess can succeed, so all are considered.
     rng = Random(5)
     weights = tuple(2 * rng.randint(1, 1 << 15) for _ in range(12))
-    guesses.clear()
+    reset(log)
     assert lattice_attack(weights, 12345, 1 << 17, max_wraps=10**9) is None
-    assert len(guesses) == 4
+    assert len(guesses) == 4 and log["appended"] == log["kept"]
 
 
 def every_guess_attack(weights, S, M, assp_map=None):
@@ -342,23 +378,17 @@ def test_guesses_past_the_weight_sum_change_no_result(monkeypatch):
 
 
 def test_wrap_guesses_run_middle_out(monkeypatch):
-    targets = []
-    appended = lattice.ReducedBasis.appended
-
-    def spied(self, row):
-        targets.append(row[-1])
-        return appended(self, row)
-
-    monkeypatch.setattr(lattice.ReducedBasis, "appended", spied)
+    log = spy_guesses(monkeypatch)
 
     def guesses(weights, S, M, **kwargs):
-        targets.clear()
+        reset(log)
         x = lattice_attack(weights, S, M, **kwargs)
+        assert log["appended"] == log["kept"]
         scale = lattice._embedding_rows(weights, 0)[1]
-        return x, [(t // scale - S) // M for t in targets]
+        return x, [(row[-1] // scale - S) // M for row in log["considered"]]
 
     # Even weights, even modulus, odd target: no guess succeeds, so all are
-    # tried.  With S = 9689, sum(w) = 2S + 3M, so m and 3 - m tie.
+    # considered.  With S = 9689, sum(w) = 2S + 3M, so m and 3 - m tie.
     rng = Random(5)
     weights = tuple(2 * rng.randint(1, 1 << 15) for _ in range(12))
     total, M = sum(weights), 1 << 17
@@ -515,6 +545,44 @@ def brute_force_target(pub):
 
     bits = tuple([1, 0, 1, 1] + [1, 0])
     return encrypt_block(pub, BitBlock(bits, 4), NoiseVector((0,) * 6)).S
+
+
+def test_every_guess_the_rule_out_skips_holds_no_solution(monkeypatch):
+    # Each wrap guess the rule-out skips, reduced cold from its exact-sum
+    # lattice, yields no verified row, on the families pinned below and on
+    # half-sum and even-weight/odd-target instances.
+    from juoan2.encrypt import encrypt_block, extend_block, sample_noise
+
+    log = spy_guesses(monkeypatch)
+    instances = [planted_ssp_instance(20, bits, Random(seed))
+                 for bits, seeds in ((40, range(40)), (22, range(100, 120))) for seed in seeds]
+    instances += [half_sum_instance(16, 32, Random(seed)) for seed in range(5)]
+    cases = [(weights, S, M, None, None) for weights, _, S, M in instances]
+    rng = Random(5)
+    even = tuple(2 * rng.randint(1, 1 << 15) for _ in range(12))
+    cases += [(even, S, 1 << 17, None, None) for S in (12_345, 9689, 1)]
+    for n, keys, max_wraps in ((4, 20, None), (8, 6, None), (16, 4, 8)):
+        for seed in range(keys):
+            rng = Random(1000 * n + seed)
+            pub, _ = keygen(n, rng)
+            block = extend_block([rng.randint(0, 1) for _ in range(n)], rng)
+            ct = encrypt_block(pub, block, sample_noise(block.n_total, rng))
+            weights, var_map = expand_assp_to_ssp(pub)
+            cases.append((weights, ct.S, pub.M, var_map, max_wraps))
+    skipped = []
+    for case, (weights, S, M, assp_map, max_wraps) in enumerate(cases):
+        reset(log)
+        lattice_attack(weights, S, M, assp_map, max_wraps)
+        assert log["appended"] == log["kept"]
+        scale = lattice._embedding_rows(weights, 0)[1]
+        for row in log["considered"]:
+            if row in log["kept"]:
+                continue
+            T = row[-1] // scale
+            cold = ReducedBasis(build_plain_ssp_lattice(weights, T).rows)
+            assert lattice._scan_reduced(cold, weights, S, M, None) is None, (weights, S, M, T)
+            skipped.append(case)
+    assert any(case < 40 for case in skipped)  # the 40-bit family skips some guesses
 
 
 def test_lattice_attack_outputs_are_pinned():

@@ -1,5 +1,6 @@
 """Exact LLL reduction checked against rational Gram-Schmidt ground truth."""
 
+import math
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -898,3 +899,80 @@ def test_packed_sign_test_on_fixed_rows():
     # sign - alone meets the sum: x = (0, 1, 0, 1, 0) has 2 + 8 = 10
     row = (1, -1, 1, -1, 1, 0)
     assert lattice._scan_reduced(ReducedBasis([row]), (1, 2, 4, 8, 16), 10, 32, None) == (0, 1, 0, 1, 0)
+
+
+def points_within(rows, y, radius_sq):
+    """The squared distances from y of the points of the lattice of `rows` within
+    sqrt(radius_sq), by exhaustive search over a box of coefficients that covers
+    the ball: a point's coefficient a_j differs from c_j, that of y's projection
+    on the span, by at most sqrt(radius_sq * G^-1_jj) (G the Gram matrix)."""
+    k = len(rows)
+    gram = [[sum(a * b for a, b in zip(p, q)) for q in rows] for p in rows]
+    ginv = solve_many(gram, [[int(i == j) for j in range(k)] for i in range(k)])
+    by = [sum(a * b for a, b in zip(p, y)) for p in rows]
+    box = []
+    for j in range(k):
+        c = sum(g * v for g, v in zip(ginv[j], by))
+        h = math.sqrt(radius_sq * ginv[j][j])
+        box.append(range(math.floor(c - h) - 1, math.ceil(c + h) + 2))
+    multiples = [[[a * x for x in row] for a in span] for row, span in zip(rows, box)]
+    out = []
+    for parts in product(*multiples):  # a point is one multiple of each row, summed
+        dist = sum((yc - sum(column)) ** 2 for yc, column in zip(y, zip(*parts)))
+        if dist <= radius_sq:
+            out.append(dist)
+    return out
+
+
+def test_may_hold_answers_as_an_exhaustive_search_for_a_near_point():
+    # With c_min past every bound only c = +-1 is left, so may_hold asks
+    # whether some lattice point lies within sqrt(radius_sq) of the row.  The
+    # targets of one basis differ only in the last entry, r + t*e, as the
+    # attack's do, so all but the first reuse the shared head.
+    rng = Random(33)
+    far = 10**9
+    cases = ruled_out = 0
+    while cases < 60:
+        k = rng.randint(1, 6)
+        rows = [[rng.randint(-4, 4) for _ in range(k + 1)] for _ in range(k)]
+        try:
+            basis = ReducedBasis(rows)
+        except ParameterError:
+            continue
+        r = [sum(rng.randint(-2, 2) * row[c] for row in rows) + rng.randint(-1, 1) for c in range(k)]
+        for t in rng.sample(range(-4, 5), 3):
+            y = r + [t]
+            radius_sq = rng.randint(0, 12)
+            near = points_within(rows, y, radius_sq)
+            assert basis.may_hold(y, radius_sq, far) == bool(near), (rows, y, radius_sq)
+            if near:  # a point exactly on the sphere is within
+                assert basis.may_hold(y, min(near), far)
+            cases += 1
+            ruled_out += not near
+    assert 15 <= ruled_out <= 45
+
+
+def test_may_hold_weighs_the_row_coefficients():
+    # (2e_i | 0) at k = 2: every point is (even | 0), so c*y + v for
+    # y = (1, 1 | 1) and odd c has squared norm >= 2 + c^2, and its part off
+    # the span, c*(0, 0 | 1), has c^2.
+    basis = ReducedBasis([[2, 0, 0], [0, 2, 0]])
+    y = [1, 1, 1]
+    far = 10**9  # c = +-1 alone
+    assert basis.may_hold(y, 3, far) and not basis.may_hold(y, 2, far)
+    assert basis.may_hold(y, 2, 1)  # any c: the part off the span, 1, fits
+    assert not basis.may_hold(y, 0, 1)
+    assert basis.may_hold(y, 9, 3) and not basis.may_hold(y, 2, 3)  # 3^2 * 1 > 2: c = +-1 alone
+
+
+def test_may_hold_answers_may_on_a_dense_basis():
+    # (2e_i | 0) at k = 6: y = (1, ..., 1 | 1) is at distance^2 7 from every
+    # nearest point, so none lies within sqrt(6), but the Gaussian-heuristic
+    # tree at that radius is far above 2k nodes: the search is not run, and
+    # the answer is "may".
+    k = 6
+    basis = ReducedBasis([[2 * (i == j) for j in range(k + 1)] for i in range(k)])
+    y = [1] * k + [1]
+    assert points_within(basis.lattice.rows, y, 6) == []
+    assert basis.may_hold(y, 6, 3)
+    assert not basis.may_hold(y, 0, 3)  # past the part off the span: exact without the search
