@@ -38,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress, count
 from math import exp, fsum, lgamma, log, pi
-from operator import lshift, mul
+from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from ..errors import ParameterError
@@ -97,8 +97,8 @@ def gram_schmidt(rows: Sequence[Sequence[int]]) -> tuple[list[list[Fraction]], l
 
 
 def _pack(row: Sequence[int], w: int) -> int:
-    """The row as one integer, sum of x_c * 2^(w*c): its entries become balanced base-2^w digits."""
-    return sum(map(lshift, row, range(0, w * len(row), w)))
+    """The row as one integer, sum of x_c * 2^(w*c) over its nonzero x_c: balanced base-2^w digits."""
+    return sum([x << w * c for c, x in enumerate(row) if x])
 
 
 def _unpack(packed: Iterable[int], width: int, w: int) -> list[list[int]]:
@@ -237,18 +237,20 @@ class ReducedBasis:
     multiply-subtract and a swap exchanges two of them.  The map is linear,
     so a packed row stays the image of its true row whatever the entries
     grow to in the middle of a reduction; it decodes uniquely when every
-    entry lies in [-2^(W-1), 2^(W-1)), and it is decoded only in reduced
-    states (`lattice`, a head by the general recurrence, the attack's
-    scan), where every entry does.  W = bitlen(m) + bitlen(width)
+    entry lies in [-2^(W-1), 2^(W-1)), and the rows are decoded only in
+    reduced states, where every entry does, and once per state: `lattice`,
+    a head by the general recurrence and a widen share one decode, kept
+    until the next join.  Packing sums only the nonzero entries, about a
+    sixth of a reduced attack row's.  W = bitlen(m) + bitlen(width)
     + 1 for m the largest |entry| of any row joined so far: LLL never raises
     the largest |b*_i|, and a join adds a b* no longer than its row, so every
     |b*_i| <= N, the largest norm of a row joined, and N^2 <= width * m^2.
     The i-th row (from 1) of a size-reduced basis has
     |b_i|^2 <= N^2 * (i + 3) / 4, and i <= width, so each entry of a reduced
-    basis is at most width * m < 2^(W-1).  A row that needs a wider
-    slot first repacks the rows kept, which keeps their values; `appended`
-    widens this basis so that its copies need not.  `lattice` decodes the
-    rows, and `sign_rows` picks out the rows of +-1s without decoding them.
+    basis is at most width * m < 2^(W-1).  A row that needs a wider slot
+    first repacks the rows from their decoded values, which do not depend on
+    W; `appended` widens this basis so that its copies need not, and
+    `sign_rows` picks out the rows of +-1s without decoding them.
 
     Raises ParameterError on dependent rows, rows of unequal length, or
     delta outside (1/4, 1).
@@ -269,6 +271,7 @@ class ReducedBasis:
         self._used: set[int] = set()  # the columns but the last where some row is nonzero
         self._shared: tuple[tuple[int, ...], list[int], int, int] | None = None  # see `appended`
         self._tree: list[float] | None = None  # see `_near`
+        self._decoded: list[list[int]] | None = None  # the rows, decoded until the next join
         for row in rows:
             self._push(row)
 
@@ -295,7 +298,9 @@ class ReducedBasis:
         return IntegerLattice(tuple(map(tuple, self._rows())))
 
     def _rows(self) -> list[list[int]]:
-        return _unpack(self._b, self._width, self._slot)
+        if self._decoded is None:
+            self._decoded = _unpack(self._b, self._width, self._slot)
+        return self._decoded
 
     def _widen(self, row: Sequence[int]) -> None:
         """Make the slots wide enough for `row` to join (see the class)."""
@@ -440,7 +445,7 @@ class ReducedBasis:
         probe.append(lam_e)  # lambda_k(e) for the new row b_k
         self._gram_e = (u * E - lam_e * lam_e) // d[-2]
         self._used.update(compress(range(len(r)), r))
-        self._tree = None
+        self._tree = self._decoded = None
         if len(self._b) > 1:
             self._reduce_last()
 

@@ -173,6 +173,15 @@ def test_importing_the_package_and_cli_loads_no_dataclasses():
     assert out.stdout == "False\n"
 
 
+def test_importing_the_cli_loads_no_cryptanalysis_module():
+    # `encrypt`, `decrypt` and `vectors` use no attack code, so the CLI
+    # imports it inside the commands that do.  A fresh process, as each CLI call is.
+    env = {**os.environ, "PYTHONPATH": str(Path(juoan2.__file__).parent.parent)}
+    code = "import sys, juoan2.cli; print(sorted(m for m in sys.modules if m.startswith('juoan2.cryptanalysis')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
+
+
 VALUE_TYPES = [
     (lambda: PublicKey((3, 5), 11, 1), "PublicKey(C=(3, 5), M=11, n_payload=1)"),
     (lambda: PrivateKey((1, 3), 7, 4, 11, 1), "PrivateKey(A=(1, 3), neg_w=7, delta_inv=4, M=11, n_payload=1)"),

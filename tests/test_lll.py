@@ -806,6 +806,64 @@ def test_packed_rows_round_trip_at_the_slot_edges():
             assert _unpack([_pack(vec, w)], len(vec), w) == [vec]
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.just(0), st.integers(-(1 << 90), 1 << 90)), max_size=12),
+       st.integers(2, 80))
+def test_pack_is_the_sum_of_the_shifted_entries(row, w):
+    # `_pack` shifts only the nonzero entries; every row, empty and all-zero
+    # ones too, packs to its definition, and one whose entries fit decodes back.
+    assert _pack(row, w) == sum(x * 2 ** (w * c) for c, x in enumerate(row))
+    assert _pack([0] * len(row), w) == _pack([], w) == 0
+    if all(-(1 << w - 1) <= x < 1 << w - 1 for x in row):
+        assert _unpack([_pack(row, w)], len(row), w) == [row]
+
+
+def test_each_reduced_state_is_decoded_once(monkeypatch):
+    # The n = 16 ASSP weight rows (94 of width 95) and one attack call over
+    # eight wrap guesses: the first guess's head and the widen it needs share
+    # one decode of the 94 rows, and the copies reduced after it decode none.
+    rng = Random(16)
+    pub, _ = keygen(16, rng)
+    weights, var_map = expand_assp_to_ssp(pub)
+    S = encrypt_message(pub, b"decode once", rng)[0].S
+    with time_limit(20):
+        attack = lattice.SubsetSumAttack(weights, pub.M, var_map, max_wraps=8)
+    base = attack._base
+    assert len(base._b) == 94
+    slot, rows = base._slot, _unpack(base._b, base._width, base._slot)
+    decoded = []
+
+    def counted(packed, width, w):
+        out = _unpack(packed, width, w)
+        decoded.append(len(out))
+        return out
+
+    monkeypatch.setattr(lll, "_unpack", counted)
+    with time_limit(20):
+        attack(S)
+    monkeypatch.undo()
+    assert sum(decoded) == 94
+    assert base._slot > slot  # the call widened the base, from the kept rows
+
+    # The kept rows are those of the packed rows after a widen, an append
+    # and a join, and no caller changes them.
+    def unpacked(basis):
+        return IntegerLattice(tuple(map(tuple, _unpack(basis._b, basis._width, basis._slot))))
+
+    before = (unpacked(base), list(base._d), [list(r) for r in base._lam])
+    assert before[0].rows == tuple(map(tuple, rows))
+    with time_limit(20):
+        copy = base.appended(build_plain_ssp_lattice(weights, S + 9 * pub.M).rows[-1])
+    assert copy.lattice == unpacked(copy)
+    assert (base.lattice, base._d, base._lam) == before
+    ssp_weights, _, ssp_S, _ = planted_ssp_instance(12, 24, Random(5))
+    ssp_rows = build_plain_ssp_lattice(ssp_weights, ssp_S).rows
+    joined = ReducedBasis(ssp_rows[:-1])
+    assert joined.lattice == unpacked(joined)
+    joined._push(ssp_rows[-1])
+    assert joined.lattice == unpacked(joined) == reference_lll_reduce(IntegerLattice(ssp_rows))
+
+
 def test_appended_row_wider_than_the_slot_repacks_the_base():
     # Bases reduced at one slot width, then given a row 30 to 60 bits wider:
     # the base widens, keeps its rows and data, and the append equals the
