@@ -39,12 +39,12 @@ _REF_BRANCHES = ("one", "noise", "noise", "one", "skip", "one", "skip", "one")
 _MAX_KEYGEN_N = 4096
 
 # Largest expanded weight count `attack` takes on: 231 at n=32, 552 at n=64.
-# The weight rows are reduced once per key (about 0.5 s at n=32, 15 s at
+# The weight rows are reduced once per key (about 0.4 s at n=32, 17 s at
 # n=64); each block then appends a row per wrap guess up to (sum of weights
 # - S) // M, about half the weight count (the expansion is too dense for the
-# closest-vector rule-out to skip any): about 1.3 s at n=32 and 53 s at
-# n=64 a block (medians of 20 and 2 keys, Python 3.11, 2 vCPUs), and a
-# message has many, so larger keys are refused.
+# closest-vector rule-out to skip any): about 1.3 s at n=32 and 47 s at
+# n=64 a block (medians of 20 and 2 keys, seeds 3200-3219 and 6400-6401,
+# Python 3.11.7, 2 vCPUs), and a message has many, so larger keys are refused.
 _MAX_ATTACK_WEIGHTS = 256
 
 
@@ -74,6 +74,8 @@ def _load_ciphertext(path: str, key: PublicKey | PrivateKey) -> list[Ciphertext]
     return blocks
 
 
+# Each command imports the cryptanalysis modules it uses, so `encrypt`,
+# `decrypt` and `vectors` load none of them.
 def _cmd_keygen(args: argparse.Namespace) -> int:
     from .cryptanalysis.density import ambiguity_estimate
 
@@ -142,20 +144,9 @@ def _cmd_density(args: argparse.Namespace) -> int:
     return 0
 
 
-def SubsetSumAttack(*args, **kwargs):
-    """`cryptanalysis.lattice.SubsetSumAttack`, imported on the first call.
-
-    The cryptanalysis modules are imported in the commands that use them, so
-    `encrypt`, `decrypt` and `vectors` load none of them; the attack class
-    stays a name of this module, where the CLI tests replace it.
-    """
-    from .cryptanalysis.lattice import SubsetSumAttack
-
-    return SubsetSumAttack(*args, **kwargs)
-
-
 def _cmd_attack(args: argparse.Namespace) -> int:
-    from .cryptanalysis.lattice import block_from_kappa, expand_assp_to_ssp, kappa_from_assignment
+    from .cryptanalysis.lattice import (SubsetSumAttack, block_from_kappa, expand_assp_to_ssp,
+                                        kappa_from_assignment)
 
     pub = _load_key(args.pub, want_private=False)
     weights, var_map = expand_assp_to_ssp(pub)

@@ -69,13 +69,14 @@ def run_assp_attack_trial(
     2*(S + m*M) = sum(weights) first.  Each guess costs one row appended to
     the reduced weight rows of the expanded exact-sum lattice (the expansion
     is too dense for the attack's closest-vector rule-out to skip any):
-    about 11 ms at n = 32 (231 weights) against a 0.47-s weight-row
-    reduction, about 1.3 s for a block with every guess (about 114 guesses;
-    medians of 20 keys, Python 3.11, 2 vCPUs).  The expanded instance sits
-    far above density 1, so extra guesses buy nothing but wall time.  A cap
-    of 8 almost never holds the genuine guess: over 50 blocks at n = 16,
-    built here from Random(0) ... Random(49), the true m had median 16 and
-    minimum 8, the last guess had median 45, and m <= 8 held in 2 of 50.
+    about 11 ms at n = 32 (231 weights) against a 0.42-s weight-row
+    reduction, about 1.3 s for a block with every guess (about 117 guesses;
+    medians of 20 keys from Random(3200) ... Random(3219), Python 3.11.7,
+    2 vCPUs).  The expanded instance sits far above density 1, so extra
+    guesses buy nothing but wall time.  A cap of 8 almost never holds the
+    genuine guess: over 50 blocks at n = 16, built here from Random(0) ...
+    Random(49), the true m had median 16 and minimum 8, the last guess had
+    median 45, and m <= 8 held in 2 of 50.
     """
     pub, _ = keygen(n_payload, rng)
     block = extend_block(draws_below(2, n_payload, rng), rng)

@@ -396,7 +396,7 @@ def test_attack_rejects_a_ciphertext_framed_for_another_width(
     pub, _ = _key_and_ciphertext(tmp_path, capsys, key_n, "k")
     _, ct = _key_and_ciphertext(tmp_path, capsys, ct_n, "c")
     attacked = []
-    monkeypatch.setattr(juoan2.cli, "SubsetSumAttack", lambda *a, **k: attacked.append(a))
+    monkeypatch.setattr(lattice, "SubsetSumAttack", lambda *a, **k: attacked.append(a))
     code, out, err = run(capsys, "attack", "--pub", pub, "--ct", ct)
     assert code == 1
     assert f"ciphertext framing says n={ct_n} but the key was built for n={key_n}" in err
@@ -419,7 +419,7 @@ def test_decrypt_rejects_a_ciphertext_framed_for_another_width(tmp_path, capsys,
 def test_attack_refuses_a_key_above_the_ceiling_at_once(tmp_path, capsys, monkeypatch):
     pub, ct = _key_and_ciphertext(tmp_path, capsys, 128, "")
     attacked = []
-    monkeypatch.setattr(juoan2.cli, "SubsetSumAttack", lambda *a, **k: attacked.append(a))
+    monkeypatch.setattr(lattice, "SubsetSumAttack", lambda *a, **k: attacked.append(a))
     start = time.perf_counter()
     code, out, err = run(capsys, "attack", "--pub", pub, "--ct", ct)
     assert time.perf_counter() - start < 0.5
@@ -438,7 +438,7 @@ def test_attack_refuses_a_modulus_above_the_window_at_once(tmp_path, capsys, mon
     pub.write_text(encode_key(PublicKey(tuple(M // k for k in range(2, 8)), M, 4)))
     ct.write_bytes(encode_ciphertext([Ciphertext(M // 3)], 4))
     attacked = []
-    monkeypatch.setattr(juoan2.cli, "SubsetSumAttack", lambda *a, **k: attacked.append(a))
+    monkeypatch.setattr(lattice, "SubsetSumAttack", lambda *a, **k: attacked.append(a))
     start = time.perf_counter()
     code, out, err = run(capsys, "attack", "--pub", str(pub), "--ct", str(ct))
     assert time.perf_counter() - start < 0.5
@@ -538,7 +538,7 @@ def test_attack_names_a_block_outside_the_modulus(tmp_path, capsys, monkeypatch)
     blocks[1] = Ciphertext(M + 5)
     Path(ct).write_bytes(encode_ciphertext(blocks, n_payload))
     attacked = []
-    monkeypatch.setattr(juoan2.cli, "SubsetSumAttack", lambda *a, **k: attacked.append(a))
+    monkeypatch.setattr(lattice, "SubsetSumAttack", lambda *a, **k: attacked.append(a))
     code, out, err = run(capsys, "attack", "--pub", pub, "--ct", ct, "--trials", "0")
     assert (code, out) == (1, "")
     assert err == f"invalid ciphertext: block 1: ciphertext {M + 5} outside [0, {M})\n"
@@ -553,7 +553,7 @@ def test_a_malformed_ciphertext_file_reads_the_same_in_every_command(
     bad, out = tmp_path / "bad.ct", tmp_path / "o"
     bad.write_bytes(b"J2CTgarbage")  # the magic, then 7 of the header's 9 bytes
     attacked = []
-    monkeypatch.setattr(juoan2.cli, "SubsetSumAttack", lambda *a, **k: attacked.append(a))
+    monkeypatch.setattr(lattice, "SubsetSumAttack", lambda *a, **k: attacked.append(a))
     if command == "decrypt":
         argv = ("decrypt", "--prv", pub[:-4] + ".prv", "--pub", pub,
                 "--in", str(bad), "--out", str(out))
@@ -612,7 +612,7 @@ def test_an_empty_ciphertext_reads_the_same_in_every_command(
         argv = ("decrypt", "--prv", pub[:-4] + ".prv", "--pub", pub,
                 "--in", str(empty), "--out", str(out))
     else:
-        monkeypatch.setattr(juoan2.cli, "SubsetSumAttack", lambda *a, **k: attacked.append(a))
+        monkeypatch.setattr(lattice, "SubsetSumAttack", lambda *a, **k: attacked.append(a))
         argv = ("attack", "--pub", pub, "--ct", str(empty))
     code, stdout, err = run(capsys, *argv)
     assert (code, stdout, err) == (1, "", "error: empty ciphertext list\n")

@@ -1,6 +1,7 @@
 """Malformed key and ciphertext files, the stdlib-only runtime, and its value types."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -168,7 +169,7 @@ def test_importing_the_package_and_cli_loads_no_dataclasses():
     # its methods on every import, and `dataclasses` itself pulls in
     # `inspect`.  A fresh process, as each CLI call is.
     env = {**os.environ, "PYTHONPATH": str(Path(juoan2.__file__).parent.parent)}
-    code = "import sys, juoan2, juoan2.cryptanalysis, juoan2.cli; print('dataclasses' in sys.modules)"
+    code = "import sys, juoan2, juoan2.cli; from juoan2.cryptanalysis import *; print('dataclasses' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "False\n"
 
@@ -180,6 +181,37 @@ def test_importing_the_cli_loads_no_cryptanalysis_module():
     code = "import sys, juoan2.cli; print(sorted(m for m in sys.modules if m.startswith('juoan2.cryptanalysis')))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "code, loaded",
+    [
+        ("import juoan2.cryptanalysis", []),
+        ("import juoan2.cryptanalysis; juoan2.cryptanalysis.ReducedBasis", ["lll"]),
+        ("from juoan2.cli import main; main(['keygen', '-n', '8', '--seed', '1', '-o', sys.argv[1]])", ["density"]),
+    ],
+    ids=["import", "ReducedBasis", "keygen"],
+)
+def test_the_bench_loads_a_module_when_one_of_its_names_is_read(tmp_path, code, loaded):
+    # `keygen` reads one density function; the reducer and the attack
+    # lattices stay unloaded.  A fresh process, as each CLI call is.
+    env = {**os.environ, "PYTHONPATH": str(Path(juoan2.__file__).parent.parent)}
+    code = f"import sys; {code}; print(sorted(m for m in sys.modules if m.startswith('juoan2.cryptanalysis')))"
+    argv = [sys.executable, "-c", code, str(tmp_path / "key")]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    want = ["juoan2.cryptanalysis"] + [f"juoan2.cryptanalysis.{name}" for name in loaded]
+    assert out.stdout.splitlines()[-1] == repr(want)
+
+
+def test_the_bench_package_hands_out_its_modules_own_objects():
+    for name in juoan2.cryptanalysis.__all__:
+        module = importlib.import_module(f"juoan2.cryptanalysis.{juoan2.cryptanalysis._MODULE_OF[name]}")
+        value = getattr(juoan2.cryptanalysis, name)
+        assert value is getattr(module, name), name
+        if callable(value):
+            assert value.__module__ == module.__name__, name
+    with pytest.raises(AttributeError, match="module 'juoan2.cryptanalysis' has no attribute 'no_such_name'"):
+        juoan2.cryptanalysis.no_such_name
 
 
 VALUE_TYPES = [
